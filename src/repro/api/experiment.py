@@ -402,7 +402,6 @@ class Experiment:
         keep_trajectories: bool = False,
         chunk_size: int = 512,
         backend: str = "auto",
-        mega_batch: "int | None" = None,
         store: "Any | None" = None,
         until: "Any | None" = None,
     ) -> RunResult:
@@ -431,21 +430,13 @@ class Experiment:
         chunk_size:
             Trials per parallel shard.
         backend:
-            Simulation-kernel backend (``"auto"`` / ``"python"`` /
-            ``"numpy"`` / ``"numba"``; see the ``backends`` column of
-            ``repro engines``).  ``"auto"`` picks the fastest available
-            backend the engine supports; seeded results are bit-identical
-            between the ``numpy`` and ``numba`` backends.  Overrides the
-            ``backend`` field of the experiment's
+            Simulation-kernel backend (``"auto"`` / ``"numpy"`` /
+            ``"numba"``; see the ``backends`` column of ``repro engines``).
+            ``"auto"`` picks the fastest available backend the engine and
+            the stopping condition support; seeded results are
+            bit-identical between the ``numpy`` and ``numba`` backends.
+            Overrides the ``backend`` field of the experiment's
             :class:`~repro.sim.base.SimulationOptions` when not ``"auto"``.
-        mega_batch:
-            Columnar sweep width for batched engines (10⁵–10⁶ is the
-            intended range): overrides ``chunk_size`` so every chunk
-            advances up to this many trials in one sweep over buffers
-            reused across chunks and adaptive rounds.  Sets the
-            ``mega_batch`` field of the experiment's
-            :class:`~repro.sim.base.SimulationOptions`; rejected for
-            per-trial engines.
         store:
             A :class:`~repro.store.ResultStore` (or its directory path).
             The experiment is canonically fingerprinted; a cache hit returns
@@ -478,11 +469,6 @@ class Experiment:
         field carries the probabilities (``trials`` only scales the nominal
         outcome counts; ``workers`` / ``seed`` are ignored).
         """
-        if mega_batch is not None:
-            # Fold the sweep width into the options up front so every later
-            # consumer — execution, the store payload, adaptive chunking —
-            # sees one consistent SimulationOptions.
-            self = self.configure(mega_batch=mega_batch)
         if until is not None:
             self._check_adaptive_arguments(
                 until, engine=engine, seed=seed, keep_trajectories=keep_trajectories

@@ -104,20 +104,14 @@ def _add_engine_arguments(parser: argparse.ArgumentParser, workers: bool = True)
             "--workers", type=int, default=1,
             help="shard trials across N worker processes (default 1)",
         )
-        parser.add_argument(
-            "--mega-batch", type=int, default=None, metavar="N",
-            help="columnar sweep width for batched engines (requires "
-                 "--engine batch-direct): advance up to N trials per chunk "
-                 "in one sweep over reused buffers (intended range 1e5-1e6)",
-        )
     parser.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "python", "numpy", "numba"],
+        choices=["auto", "numpy", "numba"],
         help="simulation-kernel backend (default auto: fastest available the "
-             "engine supports; 'python' is the object-level template, 'numba' "
-             "JIT-compiles the kernels and falls back to numpy when numba is "
-             "not installed — see the backends column of 'repro engines')",
+             "engine and stopping condition support; 'numba' JIT-compiles the "
+             "kernels and falls back to numpy when numba is not installed — "
+             "see the backends column of 'repro engines')",
     )
     parser.add_argument(
         "--tau-epsilon", type=float, default=None, metavar="EPS",
@@ -448,7 +442,6 @@ def _cmd_simulate(args) -> int:
             seed=args.seed,
             engine_options=_engine_options_from(args),
             backend=args.backend,
-            mega_batch=args.mega_batch,
             store=args.store,
             until=_until_from(args),
         )
@@ -696,7 +689,6 @@ def _cmd_example1(args) -> int:
         seed=args.seed,
         engine_options=_engine_options_from(args),
         backend=args.backend,
-        mega_batch=args.mega_batch,
         store=args.store,
         until=_until_from(args),
     )
@@ -719,7 +711,6 @@ def _cmd_example2(args) -> int:
         seed=args.seed,
         engine_options=_engine_options_from(args),
         backend=args.backend,
-        mega_batch=args.mega_batch,
         store=args.store,
         until=_until_from(args),
     )

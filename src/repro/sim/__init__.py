@@ -9,9 +9,9 @@ and multiprocess-sharded with Welford-merged statistics).
 
 The per-trial engines execute on a pluggable kernel-backend layer
 (:mod:`repro.sim.kernels`): preallocated columnar buffers, chunked random
-blocks and compiled stopping plans, with a ``python`` template fallback, an
-always-available ``numpy`` reference backend and an optional, bit-identical
-``numba`` JIT backend — selected via ``SimulationOptions.backend`` /
+blocks and compiled stopping plans, with an always-available ``numpy``
+reference backend and an optional, bit-identical ``numba`` JIT backend —
+selected via ``SimulationOptions.backend`` /
 ``Experiment.simulate(backend=...)`` / the CLI ``--backend`` flag.
 """
 

@@ -2,30 +2,20 @@
 
 The paper's experimental methodology is Monte-Carlo stochastic simulation —
 it cites Gillespie's SSA as [6] and the Gibson–Bruck next-reaction method as
-[7].  Every per-trial engine here (direct, first-reaction, next-reaction,
-tau-leaping) follows the same template: initialize counts from the network's
-initial state, repeatedly pick the next reaction event, apply it, record it,
-and check the stopping rules.
-
-:class:`StochasticSimulator` implements that template twice over:
-
-* the **kernel path** — when the engine declares an array kernel
-  (:attr:`kernel_name`) and the stopping condition compiles into a
-  :class:`~repro.sim.kernels.plan.StoppingPlan`, the whole firing loop runs
-  inside a pluggable :class:`~repro.sim.kernels.backend.KernelBackend`
-  (``numpy`` reference or optional ``numba`` JIT) over preallocated
-  columnar buffers and chunked random blocks;
-* the **python template** — the original object-level loop (engines
-  implement :meth:`_prepare` / :meth:`_next_event` / :meth:`_after_fire`),
-  kept as the ``backend="python"`` baseline and as the fallback for
-  stopping conditions that cannot be compiled (``PredicateCondition``,
-  ``AllCondition``, third-party subclasses).
+[7].  Every exact per-trial engine here (direct, first-reaction,
+next-reaction) initializes counts from the network's initial state, compiles
+its stopping condition into a :class:`~repro.sim.kernels.plan.StoppingPlan`
+and runs the whole firing loop inside a pluggable
+:class:`~repro.sim.kernels.backend.KernelBackend` (``numpy`` reference or
+optional ``numba`` JIT) over preallocated columnar buffers and chunked
+random blocks.  :class:`StochasticSimulator` holds that dispatch; engines
+only name their kernel (:attr:`~StochasticSimulator.kernel_name`).
 
 Backend selection flows through :attr:`SimulationOptions.backend`
-(``"auto"`` prefers the fastest available kernel backend the engine
-supports).  The batched engine (:mod:`repro.sim.batch`) replaces the
-per-event loop with lock-step vectorized steps but reuses the options and
-initial-state semantics defined here.
+(``"auto"`` prefers the fastest available kernel backend the engine and the
+stopping plan support).  The batched engine (:mod:`repro.sim.batch`)
+replaces the per-event loop with lock-step vectorized steps but reuses the
+options and initial-state semantics defined here.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ def resolve_initial_counts(
     ``None`` means the network's own initial state; otherwise ``initial_state``
     (a :class:`State` or ``{species: count}`` mapping) replaces it wholesale,
     with unmentioned species defaulting to zero.  Shared by the per-trial
-    template (:meth:`StochasticSimulator.run`) and the batched engine
+    engines (:meth:`StochasticSimulator.run`) and the batched engine
     (:class:`repro.sim.batch.BatchDirectEngine`), so both validate species
     membership identically.
     """
@@ -94,19 +84,11 @@ class SimulationOptions:
     snapshot_stride:
         Record every ``snapshot_stride``-th state when ``record_states`` is on.
     backend:
-        Simulation-kernel backend: ``"auto"`` (default — the fastest
-        available backend the engine supports, falling back to the python
-        template when the stopping condition cannot be compiled),
-        ``"python"`` (object-level template), ``"numpy"`` (array-kernel
+        Simulation-kernel backend: ``"auto"`` (default — numba when it is
+        installed, the engine supports it and the stopping condition
+        compiles to a clause table, else numpy), ``"numpy"`` (array-kernel
         reference) or ``"numba"`` (JIT; auto-falls back to numpy when numba
         is not installed).
-    mega_batch:
-        Columnar sweep width for batched engines: when set, the ensemble
-        chunk schedule uses this as the chunk size, so each chunk advances
-        up to ``mega_batch`` trials (10⁵–10⁶ is the intended range) in one
-        sweep over buffers allocated once and reused across chunks and
-        adaptive doubling rounds.  Requires a batched engine; the chunk
-        schedule stays worker-invariant like any other chunk size.
     """
 
     max_time: float = math.inf
@@ -115,7 +97,6 @@ class SimulationOptions:
     record_states: bool = False
     snapshot_stride: int = 1
     backend: str = "auto"
-    mega_batch: "int | None" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_steps, (int, np.integer)) or isinstance(
@@ -145,17 +126,6 @@ class SimulationOptions:
                 f"unknown kernel backend {self.backend!r}; "
                 f"expected 'auto' or one of {list(BACKEND_NAMES)}"
             )
-        if self.mega_batch is not None:
-            if not isinstance(self.mega_batch, (int, np.integer)) or isinstance(
-                self.mega_batch, bool
-            ):
-                raise SimulationError(
-                    f"mega_batch must be an integer or None, got {self.mega_batch!r}"
-                )
-            if self.mega_batch <= 0:
-                raise SimulationError(
-                    f"mega_batch must be positive, got {self.mega_batch}"
-                )
 
 
 def merge_options(
@@ -181,7 +151,10 @@ def merge_options(
 
 
 class StochasticSimulator:
-    """Template base class for exact stochastic simulation algorithms.
+    """Base class for exact per-trial stochastic simulation algorithms.
+
+    Engines set :attr:`kernel_name`; :meth:`run` executes that kernel on the
+    backend :func:`~repro.sim.kernels.backend.resolve_backend` picks.
 
     Parameters
     ----------
@@ -196,10 +169,10 @@ class StochasticSimulator:
 
     #: human-readable algorithm name, overridden by engines
     method_name = "base"
-    #: kernel this engine dispatches to on the kernel backends (None = template only)
+    #: kernel this engine dispatches to on the kernel backends
     kernel_name: "str | None" = None
     #: backends this engine supports (mirrored into the registry's EngineInfo)
-    supported_backends: tuple = ("python",)
+    supported_backends: tuple = ("numpy", "numba")
 
     def __init__(
         self,
@@ -223,25 +196,6 @@ class StochasticSimulator:
         """The underlying reaction network."""
         return self.compiled.network
 
-    # -- engine hooks ------------------------------------------------------------
-
-    def _prepare(self, counts: np.ndarray, rng: np.random.Generator) -> None:
-        """Called once per run before the first event (engines build caches here)."""
-
-    def _next_event(
-        self, time: float, counts: np.ndarray, rng: np.random.Generator
-    ) -> "tuple[float, int] | None":
-        """Return ``(waiting_time, reaction_index)`` for the next firing, or ``None``.
-
-        ``None`` means no reaction can fire any more (total propensity zero).
-        """
-        raise NotImplementedError
-
-    def _after_fire(
-        self, reaction_index: int, counts: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Called after a firing has been applied (engines update caches here)."""
-
     # -- kernel dispatch ---------------------------------------------------------
 
     def _stopping_plan(self, stopping: "StoppingCondition | None"):
@@ -256,68 +210,52 @@ class StochasticSimulator:
         return plan
 
     def _resolve_backend(self, opts: SimulationOptions, plan):
-        """The kernel backend for this run, or ``None`` for the python template."""
-        from repro.sim.kernels.backend import resolve_run_backend
+        """The kernel backend for this run."""
+        from repro.sim.kernels.backend import resolve_backend
 
-        return resolve_run_backend(
-            requested=opts.backend,
+        if self.kernel_name is None:
+            raise SimulationError(
+                f"engine {self.method_name!r} names no firing kernel; "
+                "set kernel_name or override run()"
+            )
+        return resolve_backend(
+            opts.backend,
+            self.supported_backends,
+            self.method_name,
+            plan,
             kernel_name=self.kernel_name,
-            engine_backends=self.supported_backends,
-            plan=plan,
-            engine_name=self.method_name,
         )
 
-    def _run_with_kernel(
+    def _kernel_job(
         self,
-        backend,
-        plan,
         counts: np.ndarray,
-        opts: SimulationOptions,
+        plan,
         rng: np.random.Generator,
-    ) -> Trajectory:
-        """Execute the whole firing loop on a kernel backend."""
+        opts: SimulationOptions,
+    ):
+        """Bundle one kernel invocation over this engine's reused buffers."""
         from repro.sim.kernels.backend import KernelJob
         from repro.sim.kernels.blocks import RandomBlocks
         from repro.sim.kernels.buffers import TrajectoryBuffers
 
-        compiled = self.compiled
-        knet = compiled.kernel_network()
+        knet = self.compiled.kernel_network()
         buffers = self._kernel_buffers
         if buffers is None:
-            buffers = TrajectoryBuffers(compiled.n_species)
+            buffers = TrajectoryBuffers(self.compiled.n_species)
             self._kernel_buffers = buffers
         buffers.reset()
-        blocks = RandomBlocks(rng, initial=max(64, min(2 * knet.n_reactions, 4096)))
-        job = KernelJob(
+        return KernelJob(
             knet=knet,
             counts=counts,
             plan=plan,
             buffers=buffers,
-            blocks=blocks,
+            blocks=RandomBlocks(rng, initial=max(64, min(2 * knet.n_reactions, 4096))),
             max_time=opts.max_time,
             max_steps=opts.max_steps,
             record_firings=opts.record_firings,
             record_states=opts.record_states,
             snapshot_stride=opts.snapshot_stride,
         )
-        outcome = backend.run(self.kernel_name, job)
-        stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
-        times, fired = buffers.finalize_events()
-        snapshot_times, snapshots = buffers.finalize_snapshots()
-        return Trajectory(
-            times=times,
-            reaction_indices=fired,
-            final_state=compiled.counts_to_state(counts),
-            final_time=float(outcome.final_time),
-            stop_reason=stop_reason,
-            stop_detail=stop_detail,
-            species_order=compiled.species,
-            snapshot_times=snapshot_times,
-            state_snapshots=snapshots,
-            firing_counts=outcome.firing_counts,
-        )
-
-    # -- template ----------------------------------------------------------------
 
     def run(
         self,
@@ -349,106 +287,45 @@ class StochasticSimulator:
         rng = self._default_rng if seed is None else make_rng(seed)
         compiled = self.compiled
         counts = resolve_initial_counts(compiled, initial_state)
-
-        firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
-        times: list[float] = []
-        fired: list[int] = []
-        snapshot_times: list[float] = []
-        snapshots: list[np.ndarray] = []
-
         if stopping is not None:
             stopping.reset(compiled)
-
-        time = 0.0
-        stop_reason = StopReason.EXHAUSTED
-        stop_detail = ""
-
-        # A stopping condition may already hold at t=0 (e.g. threshold met initially).
-        if stopping is not None:
-            detail = stopping.check(time, counts, compiled, firing_counts)
-            if detail is not None:
-                stop_reason, stop_detail = StopReason.CONDITION, detail
-                return self._finish(
-                    times, fired, counts, time, stop_reason, stop_detail,
-                    firing_counts, snapshot_times, snapshots,
-                )
-
         plan = self._stopping_plan(stopping)
         backend = self._resolve_backend(opts, plan)
-        if backend is not None:
-            return self._run_with_kernel(backend, plan, counts, opts, rng)
 
-        self._prepare(counts, rng)
-
-        steps = 0
-        while True:
-            event = self._next_event(time, counts, rng)
-            if event is None:
-                stop_reason = StopReason.EXHAUSTED
-                break
-            waiting_time, reaction_index = event
-            if not math.isfinite(waiting_time) or waiting_time < 0:
-                raise SimulationError(
-                    f"{self.method_name}: invalid waiting time {waiting_time!r}"
-                )
-            if time + waiting_time > opts.max_time:
-                time = opts.max_time
-                stop_reason = StopReason.MAX_TIME
-                break
-
-            time += waiting_time
-            compiled.apply(reaction_index, counts)
-            firing_counts[reaction_index] += 1
-            steps += 1
-            if opts.record_firings:
-                times.append(time)
-                fired.append(reaction_index)
-            if opts.record_states and steps % opts.snapshot_stride == 0:
-                snapshot_times.append(time)
-                snapshots.append(counts.copy())
-
-            self._after_fire(reaction_index, counts, rng)
-
-            if stopping is not None:
-                detail = stopping.check(time, counts, compiled, firing_counts)
-                if detail is not None:
-                    stop_reason, stop_detail = StopReason.CONDITION, detail
-                    break
-            if steps >= opts.max_steps:
-                stop_reason = StopReason.MAX_STEPS
-                break
-
-        return self._finish(
-            times, fired, counts, time, stop_reason, stop_detail,
-            firing_counts, snapshot_times, snapshots,
+        firing_counts = np.zeros(compiled.n_reactions, dtype=np.int64)
+        # A stopping condition may already hold at t=0 (e.g. threshold met
+        # initially); such a run fires nothing and draws no randomness.
+        detail = None if stopping is None else stopping.check(
+            0.0, counts, compiled, firing_counts
         )
+        if detail is not None:
+            return Trajectory(
+                times=np.empty(0, dtype=float),
+                reaction_indices=np.empty(0, dtype=np.int64),
+                final_state=compiled.counts_to_state(counts),
+                final_time=0.0,
+                stop_reason=StopReason.CONDITION,
+                stop_detail=detail,
+                species_order=compiled.species,
+                snapshot_times=np.empty(0, dtype=float),
+                state_snapshots=np.empty((0, compiled.n_species), dtype=np.int64),
+                firing_counts=firing_counts,
+            )
 
-    def _finish(
-        self,
-        times: list[float],
-        fired: list[int],
-        counts: np.ndarray,
-        time: float,
-        stop_reason: str,
-        stop_detail: str,
-        firing_counts: np.ndarray,
-        snapshot_times: list[float],
-        snapshots: list[np.ndarray],
-    ) -> Trajectory:
-        compiled = self.compiled
+        job = self._kernel_job(counts, plan, rng, opts)
+        outcome = backend.run(self.kernel_name, job)
+        stop_reason, stop_detail = outcome.stop_reason(plan, self.method_name)
+        times, fired = job.buffers.finalize_events()
+        snapshot_times, snapshots = job.buffers.finalize_snapshots()
         return Trajectory(
-            times=np.array(times, dtype=float),
-            reaction_indices=np.array(fired, dtype=np.int64),
+            times=times,
+            reaction_indices=fired,
             final_state=compiled.counts_to_state(counts),
-            final_time=float(time),
+            final_time=float(outcome.final_time),
             stop_reason=stop_reason,
             stop_detail=stop_detail,
             species_order=compiled.species,
-            snapshot_times=np.array(snapshot_times, dtype=float),
-            state_snapshots=(
-                np.array(snapshots, dtype=np.int64)
-                if snapshots
-                else np.empty((0, compiled.n_species), dtype=np.int64)
-            ),
-            firing_counts=firing_counts,
+            snapshot_times=snapshot_times,
+            state_snapshots=snapshots,
+            firing_counts=outcome.firing_counts,
         )

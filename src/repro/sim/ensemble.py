@@ -341,11 +341,6 @@ class EnsembleRunner:
         # Fail fast on a backend the engine does not support (the same check
         # the per-run dispatch performs, surfaced before any trials run).
         validate_backend_request(options.backend, info.backends, engine)
-        if options.mega_batch is not None and not info.batched:
-            raise EnsembleError(
-                f"mega_batch requires a batched engine; engine {engine!r} runs "
-                "one trial at a time (use engine='batch-direct')"
-            )
         self.engine_info = info
         self.engine_options = engine_options
         self.stopping = stopping
@@ -555,10 +550,8 @@ class ParallelEnsembleRunner(EnsembleRunner):
     chunk_size:
         Trials per shard (default 512).  Smaller chunks balance load better;
         larger chunks amortize per-chunk setup (network recompilation, and
-        batch-engine efficiency grows with batch width).  When the options
-        carry ``mega_batch`` (batched engines only), it overrides this —
-        each chunk then advances up to ``mega_batch`` trials in one columnar
-        sweep; the schedule remains worker-invariant for the new width.
+        batch-engine efficiency grows with batch width).  The schedule is
+        worker-invariant for any width.
     """
 
     def __init__(
@@ -585,10 +578,6 @@ class ParallelEnsembleRunner(EnsembleRunner):
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers <= 0:
             raise EnsembleError(f"workers must be positive, got {self.workers}")
-        # mega_batch widens the chunk schedule: the sweep advances that many
-        # trials per chunk instead of the default shard size.
-        if self.options.mega_batch is not None:
-            chunk_size = int(self.options.mega_batch)
         self.chunk_size = chunk_size
 
     def run(

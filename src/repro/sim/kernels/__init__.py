@@ -11,10 +11,9 @@ per-algorithm firing loops (*kernels*) extracted from
 * :class:`RandomBlocks` — chunked, compacting pre-draws from the run's
   :class:`numpy.random.Generator`;
 * :class:`StoppingPlan` — stopping conditions compiled to clause tables
-  checkable without Python dispatch.
+  checkable without Python dispatch, or to a callback the numpy kernels call.
 
-Backends: ``python`` (the original object-level template — fallback and
-baseline), ``numpy`` (always-available reference), ``numba`` (optional JIT,
+Backends: ``numpy`` (always-available reference), ``numba`` (optional JIT,
 lazily imported, auto-falling back to numpy; bit-identical to it).  See
 ``docs/architecture.md`` ("Kernel & backend layer") for the buffer
 lifecycle and the determinism contract.
@@ -33,8 +32,7 @@ from repro.sim.kernels.backend import (
     available_backends,
     get_backend,
     numba_available,
-    resolve_matrix_backend,
-    resolve_run_backend,
+    resolve_backend,
     validate_backend_request,
 )
 from repro.sim.kernels.blocks import RandomBlocks
@@ -55,8 +53,7 @@ __all__ = [
     "compile_stopping_plan",
     "get_backend",
     "numba_available",
-    "resolve_matrix_backend",
-    "resolve_run_backend",
+    "resolve_backend",
     "validate_backend_request",
     "STOP_CONDITION",
     "STOP_EXHAUSTED",

@@ -5,18 +5,14 @@ flat arrays of a :class:`~repro.sim.kernels.network.KernelNetwork`: it
 consumes pre-drawn randomness from :class:`~repro.sim.kernels.blocks
 .RandomBlocks`, records events into :class:`~repro.sim.kernels.buffers
 .TrajectoryBuffers`, and checks a compiled :class:`~repro.sim.kernels.plan
-.StoppingPlan` — no Python object dispatch inside the loop.
+.StoppingPlan` after every firing.
 
 A *backend* supplies the kernels:
 
-``python``
-    Not a :class:`KernelBackend` at all — the name selects the original
-    object-level template in :class:`~repro.sim.base.StochasticSimulator`
-    (kept both as the fallback for conditions that cannot be compiled into a
-    plan and as the PR-3 performance baseline).
 ``numpy``
     The reference implementation (:mod:`.numpy_backend`): interpreted loops
-    over Python-native views with numpy buffers; always available.
+    over Python-native views with numpy buffers; always available, and the
+    only backend that runs callback stopping plans.
 ``numba``
     JIT-compiled kernels (:mod:`.numba_backend`); imported lazily and only
     if the ``numba`` package is installed.  Requesting it without numba
@@ -24,10 +20,9 @@ A *backend* supplies the kernels:
     :class:`RandomBlocks` stream with an identical operation order, so their
     seeded outputs are bit-identical.
 
-Backend resolution (``resolve_run_backend``) turns a requested name —
-usually ``"auto"`` from :attr:`SimulationOptions.backend` — plus the
-engine's declared support into the backend object to use (or ``None`` for
-the python template).
+:func:`resolve_backend` turns a requested name — usually ``"auto"`` from
+:attr:`SimulationOptions.backend` — plus the engine's declared support and
+the run's stopping plan into the backend object to use.
 """
 
 from __future__ import annotations
@@ -52,8 +47,7 @@ __all__ = [
     "available_backends",
     "numba_available",
     "get_backend",
-    "resolve_run_backend",
-    "resolve_matrix_backend",
+    "resolve_backend",
     "validate_backend_request",
     "STOP_EXHAUSTED",
     "STOP_MAX_TIME",
@@ -63,7 +57,7 @@ __all__ = [
 ]
 
 #: Every selectable backend name, in increasing preference order for "auto".
-BACKEND_NAMES = ("python", "numpy", "numba")
+BACKEND_NAMES = ("numpy", "numba")
 
 # Kernel stop codes (shared by every backend implementation).
 STOP_EXHAUSTED = 0
@@ -102,13 +96,18 @@ class KernelJob:
 
 @dataclass
 class KernelOutcome:
-    """What a kernel reports back: why it stopped and the run totals."""
+    """What a kernel reports back: why it stopped and the run totals.
+
+    A condition stop carries either the index of the satisfied clause or,
+    for a callback plan, the ``detail`` string the callback returned.
+    """
 
     stop_code: int
     clause_index: int
     final_time: float
     steps: int
     firing_counts: np.ndarray
+    detail: "str | None" = None
 
     def stop_reason(self, plan: StoppingPlan, method_name: str) -> "tuple[str, str]":
         """Map the stop code to ``(StopReason, stop_detail)``."""
@@ -117,8 +116,11 @@ class KernelOutcome:
                 f"{method_name}: invalid (non-finite) waiting time in kernel loop"
             )
         reason = _STOP_REASONS[self.stop_code]
-        detail = plan.labels[self.clause_index] if self.stop_code == STOP_CONDITION else ""
-        return reason, detail
+        if self.stop_code != STOP_CONDITION:
+            return reason, ""
+        if self.detail is not None:
+            return reason, self.detail
+        return reason, plan.labels[self.clause_index]
 
 
 class KernelBackend:
@@ -188,20 +190,18 @@ def numba_available() -> bool:
 
 def available_backends() -> tuple[str, ...]:
     """The backend names usable right now (``numba`` only if importable)."""
-    names = ["python", "numpy"]
+    names = ["numpy"]
     if numba_available():
         names.append("numba")
     return tuple(names)
 
 
-def get_backend(name: str) -> "KernelBackend | None":
-    """Resolve a backend name to its object (``python`` resolves to ``None``).
+def get_backend(name: str) -> KernelBackend:
+    """Resolve a backend name to its object.
 
     Requesting ``numba`` in an environment without numba warns and returns
     the numpy backend — the documented auto-fallback.
     """
-    if name == "python":
-        return None
     if name == "numpy":
         return _load_numpy()
     if name == "numba":
@@ -238,72 +238,43 @@ def validate_backend_request(
         )
 
 
-def resolve_run_backend(
+def resolve_backend(
     requested: str,
-    kernel_name: "str | None",
-    engine_backends: tuple,
-    plan: "StoppingPlan | None",
+    engine_backends: "tuple[str, ...]",
     engine_name: str,
-) -> "KernelBackend | None":
-    """Pick the backend for one run; ``None`` means the python template.
+    plan: StoppingPlan,
+    kernel_name: "str | None" = None,
+) -> KernelBackend:
+    """Pick the backend for one run of ``kernel_name`` under ``plan``.
 
-    ``auto`` prefers the fastest available backend the engine supports but
-    silently falls back to the python template when the stopping condition
-    could not be compiled (``plan is None``).  An explicit ``numpy`` /
-    ``numba`` request with an uncompilable condition is an error instead —
-    silently degrading an explicit request would misreport what ran.
+    ``auto`` picks numba when the engine declares it, numba is installed and
+    the plan is a clause table, and numpy otherwise.  Explicit requests are
+    validated against the engine's declared backends and never silently
+    downgraded: ``numba`` with a callback plan raises (the only downgrade is
+    the documented numba→numpy fallback when numba is not installed).
+    ``kernel_name=None`` asks for a backend's batch sweep and propensity
+    matrix, which every backend provides.
     """
     validate_backend_request(requested, engine_backends, engine_name)
-    if requested == "python" or kernel_name is None:
-        if requested in ("numpy", "numba"):
-            raise SimulationError(
-                f"engine {engine_name!r} has no array kernel; use backend='python'"
-            )
-        return None
     if requested == "auto":
-        if plan is None:
-            return None
-        if "numba" in engine_backends and numba_available():
+        if plan.callback is None and "numba" in engine_backends:
             backend = _load_numba()
-            if backend is not None and backend.supports(kernel_name):
+            if backend is not None and (
+                kernel_name is None or backend.supports(kernel_name)
+            ):
                 return backend
-        if "numpy" in engine_backends:
-            backend = _load_numpy()
-            if backend.supports(kernel_name):
-                return backend
-        return None
-    # explicit numpy / numba request
-    if plan is None:
+        return _load_numpy()
+    if requested == "numba" and plan.callback is not None:
         raise SimulationError(
-            f"backend {requested!r} cannot run this stopping condition "
-            "(it is not compilable into a kernel stopping plan); "
-            "use backend='python' or a plan-compatible condition "
-            "(species/outcome thresholds, firing counts, any-of combinations)"
+            f"backend 'numba' cannot run this stopping condition: "
+            f"{type(plan.callback).__name__} compiles to a Python callback, which "
+            "only the numpy kernels evaluate; use backend='numpy' or 'auto', or a "
+            "clause-table condition (species/outcome thresholds, firing counts, "
+            "any-of combinations of them)"
         )
     backend = get_backend(requested)
-    if not backend.supports(kernel_name):
+    if kernel_name is not None and not backend.supports(kernel_name):
         raise SimulationError(
             f"backend {backend.name!r} does not implement the {kernel_name!r} kernel"
         )
     return backend
-
-
-def resolve_matrix_backend(
-    requested: str, engine_backends: "tuple[str, ...]", engine_name: str
-) -> KernelBackend:
-    """Backend whose :meth:`~KernelBackend.propensity_matrix` should be used.
-
-    For the array-native engines (batch-direct) there is no python template:
-    ``auto`` resolves to numba when available, else numpy, and explicit
-    requests are validated against the engine's declared backends (with the
-    usual numba→numpy fallback when numba is not installed).
-    """
-    validate_backend_request(requested, engine_backends, engine_name)
-    if requested == "auto":
-        if "numba" in engine_backends and numba_available():
-            backend = _load_numba()
-            if backend is not None:
-                return backend
-        return _load_numpy()
-    backend = get_backend(requested)
-    return backend if backend is not None else _load_numpy()

@@ -17,9 +17,9 @@ this package:
 * :func:`run_batch_sweep` — the numpy reference implementation of the
   sweep, consuming pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks`
   and evaluating the compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
-  as vectorized masks;
-* :func:`plan_clause_hits` — the vectorized clause-table check shared by the
-  t=0 pre-pass and the reference sweep.
+  as vectorized masks (clause tables) or per active row (callbacks);
+* :func:`plan_clause_hits` / :func:`callback_hits` — the clause-table and
+  callback checks shared by the t=0 pre-pass and the reference sweep.
 
 Determinism contract (mirrored by the numba batch kernel)
 ---------------------------------------------------------
@@ -45,7 +45,7 @@ order, so a seeded batch is bit-identical across numpy and numba:
    same largest-propensity fallback as the per-trial kernels;
 6. the stopping plan is evaluated first-satisfied-clause-wins, then the
    ``max_steps`` guard — condition beats the step cap on ties, exactly like
-   the per-trial kernels.
+   the per-trial kernels.  (Callback plans run on the numpy sweep only.)
 
 Any arithmetic change here must be mirrored in the ``batch-direct`` step of
 :mod:`repro.sim.kernels.numba_backend`.
@@ -65,6 +65,7 @@ __all__ = [
     "BatchBuffers",
     "BatchSweepJob",
     "batch_random_blocks",
+    "callback_hits",
     "plan_clause_hits",
     "run_batch_sweep",
 ]
@@ -142,6 +143,10 @@ class BatchSweepJob:
     counts/times/firings in their first ``n_trials`` rows); ``n_active`` is
     the number of still-running trials listed in ``buffers.active`` after
     the shared t=0 stopping pre-pass.
+
+    A callback plan also carries one reset copy of the condition per trial
+    (``conditions``) and receives each stopped trial's detail string in
+    ``details``; only the numpy sweep runs such plans.
     """
 
     knet: KernelNetwork
@@ -152,14 +157,16 @@ class BatchSweepJob:
     n_active: int
     max_time: float
     max_steps: int
+    conditions: "list | None" = None
+    details: "np.ndarray | None" = None
 
 
 def batch_random_blocks(rng: np.random.Generator, n_trials: int) -> RandomBlocks:
     """The pre-drawn random blocks for one batch run.
 
     The first sweep step needs up to one exponential and one uniform per
-    trial, so the blocks start at batch width (bounded, for the mega-batch
-    sizes, by a few MiB per block) and may grow to a small multiple of it.
+    trial, so the blocks start at batch width (bounded, for very wide
+    batches, by a few MiB per block) and may grow to a small multiple of it.
     The sizing is a pure function of ``n_trials``, and both backends share
     the one instance created here, so refill points — and therefore the
     exact values drawn — are identical across backends and runs.
@@ -203,6 +210,27 @@ def plan_clause_hits(
     return hits
 
 
+def callback_hits(job: BatchSweepJob, rows: np.ndarray) -> np.ndarray:
+    """Check each row's own condition copy; ``True`` where it says stop.
+
+    The detail string of every stopped trial lands in ``job.details``.
+    """
+    compiled = job.plan.compiled
+    buffers = job.buffers
+    times, counts, firings = buffers.times, buffers.counts, buffers.firings
+    conditions = job.conditions
+    details = job.details
+    hit = np.zeros(rows.size, dtype=bool)
+    for pos, trial in enumerate(rows.tolist()):
+        detail = conditions[trial].check(
+            float(times[trial]), counts[trial], compiled, firings[trial]
+        )
+        if detail is not None:
+            details[trial] = detail
+            hit[pos] = True
+    return hit
+
+
 def run_batch_sweep(job: BatchSweepJob) -> None:
     """Advance every active trial to its stop: the numpy reference sweep.
 
@@ -226,6 +254,7 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
     clauses = buffers.clauses
     active = buffers.active
     n_clauses = plan.n_clauses
+    callback = plan.callback
     delta_matrix = knet.delta_matrix
 
     # Stop codes (values shared with backend.py; imported locally to avoid a
@@ -320,6 +349,11 @@ def run_batch_sweep(job: BatchSweepJob) -> None:
                 hit_idx = idx[hit_mask]
                 stop_codes[hit_idx] = STOP_CONDITION
                 clauses[hit_idx] = hits[hit_mask]
+                idx = idx[~hit_mask]
+        elif callback is not None:
+            hit_mask = callback_hits(job, idx)
+            if hit_mask.any():
+                stop_codes[idx[hit_mask]] = STOP_CONDITION
                 idx = idx[~hit_mask]
 
         capped = steps[idx] >= max_steps

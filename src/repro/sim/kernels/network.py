@@ -1,8 +1,8 @@
 """Dense, kernel-ready view of a compiled reaction network.
 
 :class:`~repro.sim.propensity.CompiledNetwork` stores its reaction structure
-as ragged Python tuples — ideal for the object-level template engines, but
-useless to an array-level kernel (and unusable from a JIT-compiled one).
+as ragged Python tuples — convenient for object-level code, but useless to
+an array-level kernel (and unusable from a JIT-compiled one).
 :class:`KernelNetwork` flattens that structure into fixed-shape, padded
 ``int64``/``float64`` ndarrays once per network:
 

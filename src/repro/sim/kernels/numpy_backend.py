@@ -8,7 +8,8 @@ from pre-drawn :class:`~repro.sim.kernels.blocks.RandomBlocks` and events
 land in the preallocated columnar
 :class:`~repro.sim.kernels.buffers.TrajectoryBuffers`.  Stopping conditions
 are evaluated as compiled :class:`~repro.sim.kernels.plan.StoppingPlan`
-clause tables — no Python object dispatch survives inside the loop.
+clause tables; a callback plan's condition is called after the clause
+check, on array copies of the counts and firing totals.
 
 This backend is the *reference* for the optional numba backend: both consume
 the same random blocks with the same operation order (sums and CDF scans
@@ -89,6 +90,16 @@ def _check_plan(plan_rows, counts, firing_counts) -> int:
     return -1
 
 
+def _callback_detail(plan, time, counts, firing_counts) -> "str | None":
+    """Run a callback plan's condition on the kernel's list-held state."""
+    return plan.callback.check(
+        time,
+        np.array(counts, dtype=np.int64),
+        plan.compiled,
+        np.array(firing_counts, dtype=np.int64),
+    )
+
+
 def _run_direct(job: KernelJob) -> KernelOutcome:
     """Gillespie direct method over preallocated buffers and random blocks."""
     knet = job.knet
@@ -102,8 +113,10 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
     nr = knet.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
-    plan_rows = job.plan.py_clauses()
+    plan = job.plan
+    plan_rows = plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -133,6 +146,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         if total <= 0.0:
@@ -272,6 +286,11 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(plan, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -285,6 +304,7 @@ def _run_direct(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 
@@ -299,8 +319,10 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
     nr = knet.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
-    plan_rows = job.plan.py_clauses()
+    plan = job.plan
+    plan_rows = plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -326,6 +348,7 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         npos = 0
@@ -402,6 +425,11 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(plan, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -415,6 +443,7 @@ def _run_first_reaction(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 
@@ -438,8 +467,10 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
     nr = knet.n_reactions
     counts = job.counts.tolist()
     firing_counts = [0] * nr
-    plan_rows = job.plan.py_clauses()
+    plan = job.plan
+    plan_rows = plan.py_clauses()
     n_clauses = len(plan_rows)
+    callback = plan.callback
     max_time = job.max_time
     max_steps = job.max_steps
     record_firings = job.record_firings
@@ -479,6 +510,7 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
     steps = 0
     stop = STOP_EXHAUSTED
     clause = -1
+    detail = None
 
     while True:
         if exp_len - exp_pos < nr:  # worst case: one fresh draw per dependent
@@ -555,6 +587,11 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
                 stop = STOP_CONDITION
                 clause = hit
                 break
+        elif callback is not None:
+            detail = _callback_detail(plan, time, counts, firing_counts)
+            if detail is not None:
+                stop = STOP_CONDITION
+                break
         if steps >= max_steps:
             stop = STOP_MAX_STEPS
             break
@@ -568,6 +605,7 @@ def _run_next_reaction(job: KernelJob) -> KernelOutcome:
         final_time=time,
         steps=steps,
         firing_counts=np.array(firing_counts, dtype=np.int64),
+        detail=detail,
     )
 
 

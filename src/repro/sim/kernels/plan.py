@@ -1,11 +1,15 @@
-"""Compiling stopping conditions into kernel-checkable clause tables.
+"""Compiling stopping conditions into kernel stopping plans.
 
-The template engines call :meth:`StoppingCondition.check` — a Python method
-— after every firing.  A kernel cannot afford (and a JIT-compiled kernel
-cannot express) that call, so the condition object is compiled *once per
-run* into a :class:`StoppingPlan`: an ordered table of primitive clauses
-over the count vector and the per-reaction firing totals, checked inline by
-the kernels with a handful of scalar comparisons.
+A condition object is compiled *once per run* into a :class:`StoppingPlan`,
+which the kernels check after every firing.  A plan takes one of two forms,
+never a mix of both:
+
+* a **clause table** — an ordered table of primitive clauses over the count
+  vector and the per-reaction firing totals, checked inline with a handful
+  of scalar comparisons (and the only form the numba kernels accept);
+* a **callback** — the whole condition object, whose
+  :meth:`~repro.sim.events.StoppingCondition.check` the numpy kernels call
+  after each firing, reporting whatever detail string it returns.
 
 Clause kinds (checked in order; the first satisfied clause wins, exactly
 matching the scalar ``check`` iteration order):
@@ -19,15 +23,14 @@ kind  predicate
 3     ``firing_counts[target] >= level``
 ====  =========================================================
 
-:func:`compile_stopping_plan` handles every condition the paper's
-experiments use — :class:`~repro.sim.events.SpeciesThreshold`,
+:func:`compile_stopping_plan` compiles the built-in conditions of exact type
+— :class:`~repro.sim.events.SpeciesThreshold`,
 :class:`~repro.sim.events.OutcomeThresholds`,
 :class:`~repro.sim.events.FiringCountCondition`,
 :class:`~repro.sim.events.CategoryFiringCondition` and
-:class:`~repro.sim.events.AnyCondition` combinations of them — and returns
-``None`` for anything else (``PredicateCondition``, ``AllCondition``,
-third-party subclasses), which routes the run to the object-level
-``python`` backend instead.
+:class:`~repro.sim.events.AnyCondition` combinations of them — to a clause
+table, and everything else (``PredicateCondition``, ``AllCondition``,
+subclasses, an ``AnyCondition`` with such a child) to a callback plan.
 """
 
 from __future__ import annotations
@@ -56,7 +59,11 @@ KIND_FIRING_ONE = 3
 
 @dataclass
 class StoppingPlan:
-    """An ordered clause table plus the label reported per clause."""
+    """An ordered clause table plus the label reported per clause, or a callback.
+
+    A callback plan has an empty clause table; ``callback`` is the condition
+    object and ``compiled`` the network its ``check`` receives.
+    """
 
     kinds: np.ndarray       # int64 (n_clauses,)
     targets: np.ndarray     # int64 (n_clauses,) species column or reaction index
@@ -64,6 +71,8 @@ class StoppingPlan:
     member_ptr: np.ndarray  # int64 (n_clauses + 1,) CSR pointers (kind 2 only)
     member_idx: np.ndarray  # int64 (nnz,) reaction indices for kind-2 clauses
     labels: tuple[str, ...]
+    callback: "StoppingCondition | None" = None
+    compiled: "CompiledNetwork | None" = field(default=None, repr=False)
     _py: "tuple | None" = field(default=None, repr=False)
 
     @property
@@ -86,7 +95,7 @@ class StoppingPlan:
         return self._py
 
     @classmethod
-    def empty(cls) -> "StoppingPlan":
+    def empty(cls, **fields) -> "StoppingPlan":
         return cls(
             kinds=np.empty(0, dtype=np.int64),
             targets=np.empty(0, dtype=np.int64),
@@ -94,6 +103,7 @@ class StoppingPlan:
             member_ptr=np.zeros(1, dtype=np.int64),
             member_idx=np.empty(0, dtype=np.int64),
             labels=(),
+            **fields,
         )
 
 
@@ -105,7 +115,7 @@ def _clauses_for(
     Matches on *exact* type, not ``isinstance``: a user subclass may
     override ``check()`` with different semantics, and compiling it to the
     base class's clause table would silently change behavior — subclasses
-    must fall back to the object-level template instead.
+    compile to a callback plan instead (``None`` here).
     """
     if type(condition) is SpeciesThreshold:
         if condition._index is None:
@@ -154,19 +164,19 @@ def _clauses_for(
 
 def compile_stopping_plan(
     stopping: "StoppingCondition | None", compiled: CompiledNetwork
-) -> "StoppingPlan | None":
-    """Compile ``stopping`` into a :class:`StoppingPlan`, or ``None``.
+) -> StoppingPlan:
+    """Compile ``stopping`` into a :class:`StoppingPlan`.
 
-    ``None`` (no condition) compiles to the empty plan; an *unsupported*
-    condition returns ``None``, signalling the caller to use the object-level
-    ``python`` backend.  The condition must already be usable against
-    ``compiled`` (``reset`` is invoked on demand for index resolution).
+    ``None`` (no condition) compiles to the empty plan; a condition with no
+    clause-table form compiles to a callback plan holding the condition.
+    The condition must already be usable against ``compiled`` (``reset`` is
+    invoked on demand for index resolution).
     """
     if stopping is None:
         return StoppingPlan.empty()
     rows = _clauses_for(stopping, compiled)
     if rows is None:
-        return None
+        return StoppingPlan.empty(callback=stopping, compiled=compiled)
     kinds = np.array([r[0] for r in rows], dtype=np.int64)
     targets = np.array([r[1] for r in rows], dtype=np.int64)
     levels = np.array([r[2] for r in rows], dtype=np.int64)

@@ -8,8 +8,8 @@ priority queue").
 
 Two implementations of the same structure live here:
 
-* :class:`IndexedPriorityQueue` — the original object-level version over
-  Python lists (the ``python`` template engine's queue);
+* :class:`IndexedPriorityQueue` — the object-level version over Python
+  lists, kept as the reference the :class:`ArrayHeap` tests compare to;
 * :class:`ArrayHeap` — the same heap over three contiguous ndarrays
   (``keys`` float64, ``items``/``positions`` int64) with sift-up/sift-down
   as pure index arithmetic.  The array layout is what the kernel backends

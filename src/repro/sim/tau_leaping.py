@@ -11,24 +11,55 @@ governed by bulk stoichiometry rather than by race outcomes.
 
 The step-size selection follows the standard Cao–Gillespie–Petzold (2006)
 bound on the relative change of propensities, with a fallback to exact SSA
-steps when the selected ``tau`` would be smaller than a few exact steps.
+steps — the numpy ``direct`` kernel, :data:`EXACT_STEPS` firings at a time —
+when the selected ``tau`` would be smaller than a few exact steps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.sim.base import SimulationOptions, StochasticSimulator, merge_options
-from repro.sim.direct import DirectMethodSimulator
 from repro.sim.events import StoppingCondition
+from repro.sim.kernels.backend import (
+    STOP_MAX_STEPS,
+    STOP_MAX_TIME,
+    get_backend,
+    validate_backend_request,
+)
+from repro.sim.kernels.plan import compile_stopping_plan
 from repro.sim.registry import register_engine
 from repro.sim.rng import make_rng
 from repro.sim.trajectory import StopReason, Trajectory
 
 __all__ = ["TauLeapingSimulator", "TauLeapOptions"]
+
+#: Exact SSA firings per fallback round (when leaping is unsafe).
+EXACT_STEPS = 20
+
+
+class _Resumed(StoppingCondition):
+    """``condition`` as seen from a kernel run resuming a leaping trajectory.
+
+    The kernel counts time and firings from zero; ``condition`` sees them
+    offset by what the trajectory had accumulated before the run.
+    """
+
+    def __init__(
+        self, condition: StoppingCondition, time: float, firing_counts: np.ndarray
+    ) -> None:
+        self.condition = condition
+        self.time = time
+        self.firing_counts = firing_counts.copy()
+
+    def check(self, time, counts, compiled, firing_counts):
+        return self.condition.check(
+            self.time + time, counts, compiled, self.firing_counts + firing_counts
+        )
 
 
 @dataclass
@@ -72,16 +103,15 @@ class TauLeapingSimulator(StochasticSimulator):
     """
 
     method_name = "tau-leaping"
-    # The leap loop is already array-vectorized internally (it evaluates whole
-    # propensity vectors via the kernel layer's dense arrays); the per-event
-    # kernel backends do not apply to it.
-    supported_backends = ("python",)
+    # The leap loop is array-vectorized internally; its exact fallback steps
+    # always run the numpy reference kernel, so no backend is selectable.
+    supported_backends = ()
 
     def __init__(self, network, seed=None, leap_options: "TauLeapOptions | None" = None):
         super().__init__(network, seed=seed)
         self.leap_options = leap_options or TauLeapOptions()
 
-    # The leaping control flow does not fit the one-firing-at-a-time template,
+    # The leaping control flow does not fit the one-firing-at-a-time kernels,
     # so this engine overrides run() entirely.
     def run(
         self,
@@ -92,10 +122,8 @@ class TauLeapingSimulator(StochasticSimulator):
         **option_overrides,
     ) -> Trajectory:
         opts = merge_options(options, option_overrides)
-        if opts.backend not in ("auto", "python"):
-            from repro.sim.kernels.backend import validate_backend_request
-
-            validate_backend_request(opts.backend, self.supported_backends, self.method_name)
+        validate_backend_request(opts.backend, self.supported_backends, self.method_name)
+        kernel = get_backend("numpy")
         rng = self._default_rng if seed is None else make_rng(seed)
         compiled = self.compiled
         knet = compiled.kernel_network()
@@ -118,15 +146,12 @@ class TauLeapingSimulator(StochasticSimulator):
         steps = 0
         stop_reason = StopReason.EXHAUSTED
         stop_detail = ""
-        exact_helper = DirectMethodSimulator(compiled, seed=rng)
 
         while True:
             # NOTE: stays on the exact-integer propensity path (not the
-            # kernel layer's float evaluator): tau-leaping has only the
-            # ``python`` backend, whose seeded trajectories are the
-            # documented reproduction pin for archived runs — an ulp-level
-            # change in a propensity perturbs the Poisson draws and
-            # diverges the whole trajectory.
+            # kernel layer's float evaluator): an ulp-level change in a
+            # propensity perturbs the Poisson draws and diverges the whole
+            # seeded trajectory.
             propensities = compiled.all_propensities(counts)
             total = float(propensities.sum())
             if total <= 0.0:
@@ -137,9 +162,10 @@ class TauLeapingSimulator(StochasticSimulator):
             expected_exact_step = 1.0 / total
             if tau < self.leap_options.exact_step_multiplier * expected_exact_step:
                 # Too small to be worth leaping: take a handful of exact steps.
-                time, counts, firing_counts, stopped = self._exact_steps(
-                    exact_helper, time, counts, firing_counts, stopping, opts, rng
+                time, fired, stopped = self._exact_steps(
+                    kernel, time, counts, firing_counts, stopping, opts, rng
                 )
+                steps += fired
                 if stopped is not None:
                     stop_reason, stop_detail = stopped
                     break
@@ -154,9 +180,10 @@ class TauLeapingSimulator(StochasticSimulator):
                 if np.any(new_counts < 0):
                     # Leap overshot a reactant pool: halve tau by retrying with
                     # exact steps this round (simple and robust).
-                    time, counts, firing_counts, stopped = self._exact_steps(
-                        exact_helper, time, counts, firing_counts, stopping, opts, rng
+                    time, fired, stopped = self._exact_steps(
+                        kernel, time, counts, firing_counts, stopping, opts, rng
                     )
+                    steps += fired
                     if stopped is not None:
                         stop_reason, stop_detail = stopped
                         break
@@ -232,25 +259,28 @@ class TauLeapingSimulator(StochasticSimulator):
                 tau = min(tau, bound * bound / sigma2[s])
         return tau
 
-    def _exact_steps(
-        self, helper, time, counts, firing_counts, stopping, opts, rng, n_steps: int = 20
-    ):
-        """Advance with a few exact SSA firings (used when leaping is unsafe)."""
-        compiled = self.compiled
-        helper._prepare(counts, rng)
-        for _ in range(n_steps):
-            event = helper._next_event(time, counts, rng)
-            if event is None:
-                return time, counts, firing_counts, (StopReason.EXHAUSTED, "")
-            waiting_time, j = event
-            if time + waiting_time > opts.max_time:
-                return opts.max_time, counts, firing_counts, (StopReason.MAX_TIME, "")
-            time += waiting_time
-            compiled.apply(j, counts)
-            firing_counts[j] += 1
-            helper._after_fire(j, counts, rng)
-            if stopping is not None:
-                detail = stopping.check(time, counts, compiled, firing_counts)
-                if detail is not None:
-                    return time, counts, firing_counts, (StopReason.CONDITION, detail)
-        return time, counts, firing_counts, None
+    def _exact_steps(self, kernel, time, counts, firing_counts, stopping, opts, rng):
+        """Advance by up to :data:`EXACT_STEPS` exact SSA firings (leaping is unsafe).
+
+        Runs the ``direct`` kernel on ``counts`` in place and adds its
+        firings to ``firing_counts``.  Returns ``(time, firings,
+        stopped)``, where ``stopped`` is ``(stop_reason, detail)`` when the
+        trajectory ended inside the round and ``None`` otherwise.
+        """
+        condition = None if stopping is None else _Resumed(stopping, time, firing_counts)
+        plan = compile_stopping_plan(condition, self.compiled)
+        round_options = dataclasses.replace(
+            opts,
+            max_time=opts.max_time - time,
+            max_steps=EXACT_STEPS,
+            record_firings=False,
+            record_states=False,
+        )
+        outcome = kernel.run("direct", self._kernel_job(counts, plan, rng, round_options))
+        firing_counts += outcome.firing_counts
+        if outcome.stop_code == STOP_MAX_TIME:
+            return opts.max_time, outcome.steps, (StopReason.MAX_TIME, "")
+        time += outcome.final_time
+        if outcome.stop_code == STOP_MAX_STEPS:
+            return time, outcome.steps, None
+        return time, outcome.steps, outcome.stop_reason(plan, self.method_name)

@@ -84,7 +84,7 @@ class CanonicalPayload:
         The store key — ``fingerprint_payload`` of the caller payload equals
         this by construction.
     payload:
-        The canonical *executable* payload (schema ``repro.experiment/v2``):
+        The canonical *executable* payload (schema ``repro.experiment/v3``):
         canonical network and descriptors, but the caller's unhashed
         metadata, so :func:`~repro.store.serialize.compute_payload` restores
         caller-facing fields.  When ``exact`` is ``False`` this is the
@@ -282,7 +282,7 @@ def canonicalize_payload(
             f"{payload.get('schema') if isinstance(payload, Mapping) else payload!r}"
         )
     data = dict(payload)
-    data["schema"] = EXPERIMENT_SCHEMA  # v1 payloads hash (and execute) as v2
+    data["schema"] = EXPERIMENT_SCHEMA  # v1/v2 payloads hash (and execute) as v3
 
     if not _is_relabelable(data):
         witness = {

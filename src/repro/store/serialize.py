@@ -35,15 +35,24 @@ __all__ = [
     "compute_payload",
 ]
 
-#: Schema tag of serialized-experiment payloads.  v2 marks the switch to
+#: Schema tag of serialized-experiment payloads.  v2 marked the switch to
 #: isomorphism-aware canonical fingerprints (species naming and reaction
-#: order are no longer identity); the payload *shape* is unchanged from v1.
-EXPERIMENT_SCHEMA = "repro.experiment/v2"
+#: order are no longer identity).  v3 marks the retirement of the python
+#: template backend and of the interpreted batch-direct fallback: runs that
+#: used them (``backend="python"``, ``all``/predicate-style conditions,
+#: tau-leaping) now draw different random streams, so artifacts stored
+#: under v2 addresses are never served as v3 hits.  The payload *shape* is
+#: unchanged from v1, less one retired option (see _options_from_payload).
+EXPERIMENT_SCHEMA = "repro.experiment/v3"
 
-#: Schema tags accepted on input.  v1 payloads execute unchanged and — since
-#: every fingerprint is computed over the canonicalized v2 form — address the
-#: same cache entries as their v2 equivalents.
-_ACCEPTED_SCHEMAS = ("repro.experiment/v1", "repro.experiment/v2")
+#: Schema tags accepted on input.  v1 and v2 payloads execute unchanged and
+#: — since every fingerprint is computed over the canonicalized v3 form —
+#: address the same cache entries as their v3 equivalents.
+_ACCEPTED_SCHEMAS = (
+    "repro.experiment/v1",
+    "repro.experiment/v2",
+    "repro.experiment/v3",
+)
 
 
 def is_experiment_schema(tag: Any) -> bool:
@@ -214,12 +223,8 @@ def _state_classifier_from_descriptor(data: "Mapping | None", trusted: bool = Tr
 
 
 def _options_payload(options: SimulationOptions) -> dict:
-    """Encode options; an unbounded ``max_time`` becomes ``None`` (JSON-safe).
-
-    ``mega_batch`` is emitted only when set: the default (``None``) adds no
-    key, so fingerprints of pre-existing store entries are unchanged.
-    """
-    payload = {
+    """Encode options; an unbounded ``max_time`` becomes ``None`` (JSON-safe)."""
+    return {
         "max_time": None if math.isinf(options.max_time) else float(options.max_time),
         "max_steps": int(options.max_steps),
         "record_firings": bool(options.record_firings),
@@ -227,14 +232,16 @@ def _options_payload(options: SimulationOptions) -> dict:
         "snapshot_stride": int(options.snapshot_stride),
         "backend": str(options.backend),
     }
-    if options.mega_batch is not None:
-        payload["mega_batch"] = int(options.mega_batch)
-    return payload
 
 
 def _options_from_payload(data: Mapping) -> SimulationOptions:
+    if "mega_batch" in data:
+        raise FingerprintError(
+            "options.mega_batch was removed; it only set the ensemble chunk "
+            "width — pass simulate.chunk_size (Experiment.simulate(chunk_size=N)) "
+            "instead"
+        )
     max_time = data.get("max_time")
-    mega_batch = data.get("mega_batch")
     return SimulationOptions(
         max_time=math.inf if max_time is None else float(max_time),
         max_steps=int(data["max_steps"]),
@@ -242,7 +249,6 @@ def _options_from_payload(data: Mapping) -> SimulationOptions:
         record_states=bool(data["record_states"]),
         snapshot_stride=int(data["snapshot_stride"]),
         backend=str(data["backend"]),
-        mega_batch=None if mega_batch is None else int(mega_batch),
     )
 
 

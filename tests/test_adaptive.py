@@ -434,10 +434,10 @@ class TestWorkerInvariance:
                 until=self.TARGET, seed=29, chunk_size=128, workers=1,
                 backend=backend,
             )
-            for backend in ("python", "numpy")
+            for backend in ("numpy",)
         }
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     @pytest.mark.parametrize("workers", [2, 4])
     def test_bit_identical_across_worker_counts(self, references, backend, workers):
         experiment = race_experiment()

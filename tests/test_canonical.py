@@ -227,16 +227,19 @@ class TestRenamedWarmHits:
         with pytest.raises(NetworkError, match="allow_merge"):
             base.renamed({"u": "v"})
 
-    def test_v1_schema_payload_addresses_v2_entry(self, tmp_path):
+    @pytest.mark.parametrize("legacy_schema", ["repro.experiment/v1", "repro.experiment/v2"])
+    def test_legacy_schema_payload_addresses_v3_entry(self, tmp_path, legacy_schema):
         base = Experiment.from_zoo("toggle-switch")
         payload = experiment_to_payload(
             base, trials=10, engine="direct", seed=2,
             chunk_size=64, backend="auto", engine_options=None, until=None,
         )
+        assert payload["schema"] == "repro.experiment/v3"
         legacy = dict(payload)
-        legacy["schema"] = "repro.experiment/v1"
+        legacy["schema"] = legacy_schema
         assert fingerprint_payload(legacy) == fingerprint_payload(payload)
-        assert canonicalize_payload(legacy).payload["schema"] == "repro.experiment/v2"
+        assert canonicalize_payload(legacy).payload["schema"] == "repro.experiment/v3"
+        assert canonicalize_payload(legacy).key == canonicalize_payload(payload).key
 
 
 # ---------------------------------------------------------------------------

@@ -151,19 +151,20 @@ class TestEngineSelection:
             assert "declared but not available" in out
             assert "fall back to numpy" in out
 
-    def test_simulate_mega_batch_flag(self, design_file, capsys):
-        code = main(["simulate", str(design_file), "--trials", "300", "--seed", "7",
-                     "--engine", "batch-direct", "--mega-batch", "100000"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Ensemble of 300 trials" in out
+    def test_python_backend_rejected_with_valid_names(self, design_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(design_file), "--trials", "10", "--backend", "python"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'python'" in err
+        assert "'auto', 'numpy', 'numba'" in err
 
-    def test_mega_batch_rejected_for_per_trial_engine(self, design_file, capsys):
-        code = main(["simulate", str(design_file), "--trials", "10", "--seed", "7",
-                     "--engine", "direct", "--mega-batch", "1000"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "batched engine" in captured.err
+    def test_mega_batch_flag_removed(self, design_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", str(design_file), "--trials", "10",
+                  "--engine", "batch-direct", "--mega-batch", "1000"])
+        assert excinfo.value.code == 2
+        assert "--mega-batch" in capsys.readouterr().err
 
     def test_simulate_batch_engine_with_workers(self, design_file, capsys):
         code = main(["simulate", str(design_file), "--trials", "120", "--seed", "7",

@@ -156,9 +156,9 @@ class TestCombinators:
 class TestStoppingEdgeCasesEndToEnd:
     """Integration edge cases: t=0 triggers, final-firing triggers, and
     stop_detail propagation into Trajectory / EnsembleResult — exercised on
-    the python template, the kernel backends, and the batched engine."""
+    the per-trial kernels and the batched engine."""
 
-    PER_TRIAL_BACKENDS = ("python", "numpy")
+    PER_TRIAL_BACKENDS = ("numpy",)
 
     @pytest.mark.parametrize("backend", PER_TRIAL_BACKENDS)
     def test_condition_already_true_at_t0(self, backend):

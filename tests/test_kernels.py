@@ -1,8 +1,8 @@
 """Tests for the pluggable simulation-kernel backend layer.
 
 Covers the kernel building blocks (buffers, random blocks, stopping plans,
-dense network views), backend resolution policy (auto preference, python
-fallback, explicit-request errors, numba auto-fallback), run mechanics of
+dense network views), backend resolution policy (auto preference, callback
+plans, explicit-request errors, numba auto-fallback), run mechanics of
 every kernel on every available backend, bit-level determinism (same seed,
 worker invariance, numpy↔numba identity when numba is installed), and the
 satellite fixes around ``SimulationOptions`` (validation + strict override
@@ -19,7 +19,6 @@ from repro.crn import parse_network
 from repro.errors import SimulationError
 from repro.sim import (
     CategoryFiringCondition,
-    EnsembleRunner,
     FiringCountCondition,
     OutcomeThresholds,
     SimulationOptions,
@@ -31,6 +30,7 @@ from repro.sim import (
 )
 from repro.sim.events import AllCondition, AnyCondition, PredicateCondition
 from repro.sim.kernels import (
+    BACKEND_NAMES,
     RandomBlocks,
     TrajectoryBuffers,
     available_backends,
@@ -213,13 +213,18 @@ def test_race_probabilities_on_kernel_path(engine, backend):
 class TestBackendResolution:
     def test_available_backends(self):
         names = available_backends()
-        assert "python" in names and "numpy" in names
+        assert "python" not in names and "numpy" in names
         assert ("numba" in names) == numba_available()
 
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("numpy", "numba")
+
     def test_registry_records_backends(self):
-        assert registry.get("direct").backends == ("python", "numpy", "numba")
-        assert registry.get("next-reaction").backends == ("python", "numpy", "numba")
+        assert registry.get("direct").backends == ("numpy", "numba")
+        assert registry.get("first-reaction").backends == ("numpy", "numba")
+        assert registry.get("next-reaction").backends == ("numpy", "numba")
         assert registry.get("batch-direct").backends == ("numpy", "numba")
+        assert registry.get("tau-leaping").backends == ()
         assert registry.get("ode").backends == ()
         assert registry.get("fsp").backends == ()
 
@@ -232,27 +237,37 @@ class TestBackendResolution:
         with pytest.raises(SimulationError, match="does not support backend"):
             simulator.run(backend="numpy")
 
-    def test_batch_engine_rejects_python_backend(self):
-        with pytest.raises(SimulationError, match="does not support backend"):
-            EnsembleRunner(
-                _death(),
-                engine="batch-direct",
-                options=SimulationOptions(record_firings=False, backend="python"),
+    def test_python_backend_rejected_with_valid_names(self):
+        valid = r"expected 'auto' or one of \['numpy', 'numba'\]"
+        with pytest.raises(SimulationError, match=valid):
+            SimulationOptions(backend="python")
+        with pytest.raises(SimulationError, match=valid):
+            make_simulator(_death(), engine="direct", seed=1).run(backend="python")
+        with pytest.raises(SimulationError, match=valid):
+            Experiment.from_network(_death()).simulate(trials=4, backend="python")
+
+    def test_callback_condition_runs_on_auto_and_numpy(self):
+        for backend in ("auto", "numpy"):
+            condition = PredicateCondition(
+                lambda t, state: "done" if state["x"] <= 15 else None
             )
+            trajectory = make_simulator(_death(), engine="direct", seed=2).run(
+                stopping=condition, backend=backend
+            )
+            assert trajectory.stop_reason == StopReason.CONDITION
+            assert trajectory.stop_detail == "done"
+            assert trajectory.final_count("x") == 15
 
-    def test_uncompilable_condition_falls_back_on_auto(self):
-        condition = PredicateCondition(lambda t, state: "done" if state["x"] <= 15 else None)
-        trajectory = make_simulator(_death(), engine="direct", seed=2).run(
-            stopping=condition
-        )
-        assert trajectory.stop_reason == StopReason.CONDITION
-        assert trajectory.stop_detail == "done"
-
-    def test_uncompilable_condition_rejected_on_explicit_kernel_backend(self):
+    @pytest.mark.parametrize(
+        "engine", ["direct", "first-reaction", "next-reaction", "batch-direct"]
+    )
+    def test_callback_condition_rejected_on_explicit_numba(self, engine):
         condition = PredicateCondition(lambda t, state: None)
-        simulator = make_simulator(_death(), engine="direct", seed=2)
-        with pytest.raises(SimulationError, match="stopping condition"):
-            simulator.run(stopping=condition, backend="numpy")
+        simulator = make_simulator(_death(), engine=engine, seed=2)
+        with pytest.raises(SimulationError, match="cannot run this stopping condition"):
+            simulator.run(
+                stopping=condition, backend="numba", record_firings=False
+            )
 
     def test_next_reaction_declares_numba(self):
         # The array-heap port gave next-reaction a numba kernel; requesting it
@@ -360,22 +375,20 @@ class TestStoppingPlan:
         )
         assert plan.labels == ("b>=9", "f")
 
-    def test_uncompilable_conditions_return_none(self, compiled):
-        assert compile_stopping_plan(PredicateCondition(lambda t, s: None), compiled) is None
-        assert (
-            compile_stopping_plan(
-                AllCondition([SpeciesThreshold("b", 9), SpeciesThreshold("a", 1)]),
-                compiled,
-            )
-            is None
-        )
-        assert (
-            compile_stopping_plan(
-                AnyCondition([SpeciesThreshold("b", 9), PredicateCondition(lambda t, s: None)]),
-                compiled,
-            )
-            is None
-        )
+    def test_clause_plans_have_no_callback(self, compiled):
+        plan = compile_stopping_plan(SpeciesThreshold("b", 8), compiled)
+        assert plan.callback is None
+
+    def test_other_conditions_compile_to_a_callback(self, compiled):
+        conditions = [
+            PredicateCondition(lambda t, s: None),
+            AllCondition([SpeciesThreshold("b", 9), SpeciesThreshold("a", 1)]),
+            AnyCondition([SpeciesThreshold("b", 9), PredicateCondition(lambda t, s: None)]),
+        ]
+        for condition in conditions:
+            plan = compile_stopping_plan(condition, compiled)
+            assert plan.callback is condition and plan.compiled is compiled
+            assert plan.n_clauses == 0 and plan.labels == ()
 
 
 # ---------------------------------------------------------------------------
@@ -722,26 +735,88 @@ class _StickyThreshold(SpeciesThreshold):
         return self.label if self._streak >= 2 else None
 
 
-class TestConditionSubclassesFallBack:
-    def test_subclass_is_not_compiled_to_base_semantics(self):
-        compiled = CompiledNetwork.compile(_death(10))
-        assert compile_stopping_plan(_StickyThreshold("x", 7, comparison="<="), compiled) is None
+PER_TRIAL_ENGINES = ["direct", "first-reaction", "next-reaction"]
+ALL_ENGINES = PER_TRIAL_ENGINES + ["batch-direct"]
 
-    def test_subclass_runs_identically_on_auto_and_python(self):
-        # auto must route the overridden check() to the template, not compile
-        # the base class's one-shot threshold.
+
+class TestConditionSubclassesCompileToCallbacks:
+    def test_subclass_compiles_to_a_callback_plan(self):
+        compiled = CompiledNetwork.compile(_death(10))
+        condition = _StickyThreshold("x", 7, comparison="<=")
+        plan = compile_stopping_plan(condition, compiled)
+        assert plan.callback is condition and plan.n_clauses == 0
+
+    @pytest.mark.parametrize("engine", PER_TRIAL_ENGINES)
+    def test_subclass_semantics_on_per_trial_engines(self, engine):
+        # The overridden check() needs the threshold on two consecutive
+        # firings (x = 7, then 6): the base class's one-shot clause would
+        # stop after 3 firings.
+        trajectory = make_simulator(_death(10), engine=engine, seed=2).run(
+            stopping=_StickyThreshold("x", 7, comparison="<=")
+        )
+        assert trajectory.stop_reason == StopReason.CONDITION
+        assert trajectory.stop_detail == "x<=7"
+        assert trajectory.firing_counts.sum() == 4
+
+    def test_subclass_semantics_on_batch_direct(self):
+        batch = make_simulator(_death(10), engine="batch-direct", seed=2).run_batch(
+            64, stopping=_StickyThreshold("x", 7, comparison="<=")
+        )
+        assert all(reason == StopReason.CONDITION for reason in batch.stop_reasons)
+        assert list(batch.stop_details) == ["x<=7"] * 64
+        np.testing.assert_array_equal(batch.firing_counts.sum(axis=1), np.full(64, 4))
+
+    def test_auto_and_numpy_agree(self):
         auto = make_simulator(_death(10), engine="direct", seed=2).run(
             stopping=_StickyThreshold("x", 7, comparison="<=")
         )
-        template = make_simulator(_death(10), engine="direct", seed=2).run(
-            stopping=_StickyThreshold("x", 7, comparison="<="), backend="python"
+        numpy_run = make_simulator(_death(10), engine="direct", seed=2).run(
+            stopping=_StickyThreshold("x", 7, comparison="<="), backend="numpy"
         )
-        assert auto.stop_reason == template.stop_reason == StopReason.CONDITION
-        assert auto.firing_counts.sum() == template.firing_counts.sum() == 4
+        np.testing.assert_array_equal(auto.times, numpy_run.times)
+        assert auto.stop_detail == numpy_run.stop_detail == "x<=7"
 
-    def test_subclass_rejected_on_explicit_kernel_backend(self):
-        simulator = make_simulator(_death(10), engine="direct", seed=2)
-        with pytest.raises(SimulationError, match="stopping condition"):
-            simulator.run(
-                stopping=_StickyThreshold("x", 7, comparison="<="), backend="numpy"
-            )
+
+class TestCallbackPlans:
+    """PredicateCondition / AllCondition run through the kernels as callbacks."""
+
+    def _run(self, engine, condition, network=None):
+        simulator = make_simulator(network or _death(10), engine=engine, seed=5)
+        if engine == "batch-direct":
+            batch = simulator.run_batch(16, stopping=condition)
+            return list(batch.stop_reasons), list(batch.stop_details), batch.final_counts
+        trajectory = simulator.run(stopping=condition)
+        return (
+            [trajectory.stop_reason],
+            [trajectory.stop_detail],
+            trajectory.final_state.to_vector(simulator.compiled.species)[None, :],
+        )
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_predicate_condition(self, engine):
+        condition = PredicateCondition(lambda t, state: "low" if state["x"] <= 6 else None)
+        reasons, details, counts = self._run(engine, condition)
+        assert set(reasons) == {StopReason.CONDITION}
+        assert set(details) == {"low"}
+        assert np.all(counts[:, 0] == 6)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_all_condition_joins_details(self, engine):
+        condition = AllCondition(
+            [
+                SpeciesThreshold("x", 7, comparison="<=", label="a"),
+                FiringCountCondition([0], 5, label="b"),
+            ]
+        )
+        reasons, details, counts = self._run(engine, condition)
+        assert set(reasons) == {StopReason.CONDITION}
+        assert set(details) == {"a & b"}
+        assert np.all(counts[:, 0] == 5)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    def test_callback_true_at_t0(self, engine):
+        condition = PredicateCondition(lambda t, state: "start" if t == 0.0 else None)
+        reasons, details, counts = self._run(engine, condition)
+        assert set(reasons) == {StopReason.CONDITION}
+        assert set(details) == {"start"}
+        assert np.all(counts[:, 0] == 10)  # nothing fired

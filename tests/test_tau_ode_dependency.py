@@ -57,6 +57,33 @@ class TestTauLeaping:
         trajectory = TauLeapingSimulator(net, seed=7).run(max_time=100.0)
         assert trajectory.final_count("c") == 3
 
+    def test_exact_rounds_see_cumulative_firings_and_time(self):
+        # x = 40 keeps tau below the exact-step threshold, so the run is a
+        # sequence of 20-firing exact rounds.  The conditions must trigger
+        # inside the second round, on totals counted from the run's start.
+        from repro.sim import FiringCountCondition, PredicateCondition
+
+        net = parse_network("x ->{1} 0\ninit: x = 40")
+        trajectory = TauLeapingSimulator(net, seed=8).run(
+            stopping=FiringCountCondition([0], 25, label="25 fired")
+        )
+        assert trajectory.stop_detail == "25 fired"
+        assert trajectory.firing_counts[0] == 25
+        assert trajectory.final_count("x") == 15
+
+        times = []
+
+        def late(time, state):
+            times.append(time)
+            return "late" if state["x"] <= 12 else None
+
+        trajectory = TauLeapingSimulator(net, seed=8).run(
+            stopping=PredicateCondition(late)
+        )
+        assert trajectory.final_count("x") == 12
+        assert trajectory.final_time == times[-1]
+        assert times == sorted(times)
+
     def test_options_dataclass(self):
         options = TauLeapOptions(epsilon=0.01)
         simulator = TauLeapingSimulator(
