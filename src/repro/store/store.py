@@ -6,30 +6,40 @@ payload that produced it (:mod:`repro.store.fingerprint`), so the store is a
 previous run persisted — bit-identically, because engines are deterministic
 in their payload and the payload JSON is stored verbatim.
 
-Layout (JSON envelopes, gzip-compressed at rest)::
+Layout (JSON envelopes, gzipped at rest)::
 
     <root>/
-      index.json                        # key -> {kind, label, engine, size, ...}
       artifacts/<k[:2]>/<key>.json.gz   # artifact envelopes, sharded by prefix
       campaigns/<id>.json               # campaign manifests
 
+The artifact tree is the store's only state: a file's name is its key, its
+size is the artifact's size and its mtime is the artifact's LRU stamp.  Every
+write and every hit (hot or cold) stamps the file with the current time, so
+:meth:`ResultStore.gc` in any process evicts what all processes used least
+recently.  An ``index.json`` left by an older store is ignored.
+
 The store is **tiered**: a bounded in-process LRU of deserialized envelopes
 (the *hot* tier, ``hot_capacity`` entries, shared across threads) fronts the
-gzip-compressed JSON files (the *cold* tier).  Repeated reads of the same
-key skip both the disk and the JSON parse.  Uncompressed legacy
-``<key>.json`` artifacts remain readable; new writes are compressed unless
-``compress=False``.  Gzip headers are written with ``mtime=0`` so identical
-envelopes produce identical files.
+gzipped JSON files (the *cold* tier).  Repeated reads of the same
+key skip both the disk and the JSON parse.  Legacy plain ``<key>.json``
+artifacts remain readable; new writes are always gzipped.
+Gzip headers are written with ``mtime=0`` so identical envelopes produce
+identical files.
 
 Artifact envelopes carry ``schema`` and ``version`` fields; artifacts whose
 schema does not match the store's raise :class:`~repro.errors.StoreError`
-(the version in the message says which library wrote them).  Canonical-store
-writers also record a ``witness`` (canonical → writer species naming, see
-:mod:`repro.store.canonical`) so readers with different naming can translate
-the payload.  Writes are atomic (temp file + ``os.replace``) and serialized
-through an internal lock, so the threaded HTTP service can share one store
-instance; the index self-heals from the artifact files when an entry is
-missing.
+(the version in the message says which library wrote them), as do truncated
+or unparsable files.  Canonical-store writers also record a ``witness``
+(canonical → writer species naming, see :mod:`repro.store.canonical`) so
+readers with different naming can translate the payload.
+
+Multi-process contract: any number of processes may read, write, evict and
+gc one directory at once, and threads may share one instance (the hot tier
+sits behind an internal lock).  Writes are atomic (same-directory temp file
++ ``os.replace``), so a reader sees a whole artifact or none; a put killed
+mid-write leaves only a ``*.tmp`` file, which every scan of the tree ignores;
+an artifact that vanishes mid-scan (another process's gc) is skipped.  There
+is no lock file and no journal.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ import os
 import tempfile
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -48,7 +59,6 @@ from repro.errors import StoreError
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "INDEX_SCHEMA",
     "CAMPAIGN_SCHEMA",
     "ResultStore",
 ]
@@ -56,7 +66,6 @@ __all__ = [
 #: Schema tags of the store's on-disk documents.  Bump on incompatible
 #: changes; artifacts written under a different tag are rejected on read.
 ARTIFACT_SCHEMA = "repro.store.artifact/v1"
-INDEX_SCHEMA = "repro.store.index/v1"
 CAMPAIGN_SCHEMA = "repro.store.campaign/v1"
 
 #: Schema tag of bare-ensemble payloads (RunResult/FspResult carry their own).
@@ -84,46 +93,24 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class ResultStore:
-    """Content-addressed artifact store with an index, cache API and GC.
+    """Content-addressed artifact store with a cache API and LRU GC.
 
     Parameters
     ----------
     root:
         Directory holding the store (created on first use).
-    max_artifacts / max_bytes:
-        Optional standing limits applied by :meth:`gc` when called without
-        arguments (and by :meth:`put` after every write when set), evicting
-        least-recently-used artifacts first.
     hot_capacity:
         Size of the in-process hot tier — a bounded LRU of deserialized
-        envelopes fronting the compressed files.  ``0`` disables it (every
+        envelopes fronting the gzip files.  ``0`` disables it (every
         read hits the disk).  Hot entries are returned by reference; callers
         must treat envelopes as read-only (the store's own paths copy before
         rewriting).
-    compress:
-        Whether new artifacts are written gzip-compressed
-        (``<key>.json.gz``).  Reads always accept both compressed and legacy
-        uncompressed files, so stores created before compression (or with it
-        disabled) stay fully usable.
     """
 
-    def __init__(
-        self,
-        root: "str | Path",
-        max_artifacts: "int | None" = None,
-        max_bytes: "int | None" = None,
-        hot_capacity: int = 128,
-        compress: bool = True,
-    ) -> None:
+    def __init__(self, root: "str | Path", *, hot_capacity: int = 128) -> None:
         self.root = Path(root)
-        self.max_artifacts = max_artifacts
-        self.max_bytes = max_bytes
         self.hot_capacity = int(hot_capacity)
-        self.compress = compress
         self._lock = threading.RLock()
-        # LRU stamps recorded by reads; folded into the index by put()/gc()
-        # so the hot read path never rewrites index.json.
-        self._recent_access: dict[str, float] = {}
         # Hot tier: key -> deserialized envelope, most recent last.
         self._hot: "OrderedDict[str, dict]" = OrderedDict()
         self.root.mkdir(parents=True, exist_ok=True)
@@ -134,7 +121,6 @@ class ResultStore:
         state = dict(self.__dict__)
         del state["_lock"]
         del state["_hot"]
-        state["_recent_access"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -155,46 +141,94 @@ class ResultStore:
 
     # -- paths -------------------------------------------------------------------
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
-
     def _artifact_dir(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise StoreError(f"malformed artifact key {key!r} (expected hex digest)")
         return self.root / "artifacts" / key[:2]
 
     def _artifact_path(self, key: str) -> Path:
-        """The *write* path for ``key`` under the current compression setting."""
-        suffix = ".json.gz" if self.compress else ".json"
-        return self._artifact_dir(key) / f"{key}{suffix}"
+        """The *write* path for ``key`` (always ``.json.gz``)."""
+        return self._artifact_dir(key) / f"{key}.json.gz"
 
     def _artifact_candidates(self, key: str) -> "tuple[Path, Path]":
-        """Both possible on-disk paths for ``key`` (compressed first)."""
+        """Both possible on-disk paths for ``key`` (``.json.gz`` first)."""
         directory = self._artifact_dir(key)
         return directory / f"{key}.json.gz", directory / f"{key}.json"
 
-    @staticmethod
-    def _key_of_path(path: Path) -> str:
-        # Keys are hex digests (no dots), so everything before the first dot
-        # is the key regardless of which extension the artifact carries.
-        return path.name.split(".", 1)[0]
+    def _artifact_files(self) -> "Iterator[tuple[str, Path]]":
+        """``(key, path)`` for every artifact file in the tree.
 
-    def _read_artifact_text(self, key: str) -> "str | None":
+        Only ``<key>.json.gz`` and legacy ``<key>.json`` names count, so the
+        ``*.tmp`` left by a put killed mid-write is never taken for an
+        artifact.  Keys are hex digests (no dots): the name up to the first
+        dot is the key.
+        """
+        for path in (self.root / "artifacts").glob("*/*.json*"):
+            if path.name.endswith((".json", ".json.gz")):
+                yield path.name.split(".", 1)[0], path
+
+    def _scan(self) -> "dict[str, tuple[int, int]]":
+        """``key -> (mtime_ns, bytes)`` for every artifact on disk.
+
+        A file that vanishes between listing and ``stat`` (another process's
+        gc or evict) is skipped.  A key present under both extensions counts
+        the bytes of both files and the newer stamp.
+        """
+        found: dict[str, tuple[int, int]] = {}
+        for key, path in self._artifact_files():
+            try:
+                info = path.stat()
+            except FileNotFoundError:
+                continue
+            stamp, size = found.get(key, (0, 0))
+            found[key] = (max(stamp, info.st_mtime_ns), size + info.st_size)
+        return found
+
+    def _read_envelope(self, key: str) -> "dict | None":
+        """Parse the on-disk envelope for ``key`` (``None`` when absent).
+
+        Truncated or unparsable files raise :class:`StoreError` naming the
+        file; so do envelopes of an incompatible schema.
+        """
         for path in self._artifact_candidates(key):
             try:
                 raw = path.read_bytes()
+                if path.suffix == ".gz":
+                    raw = gzip.decompress(raw)
+                envelope = json.loads(raw)
             except FileNotFoundError:
                 continue
-            except OSError as exc:
+            except (OSError, EOFError, zlib.error, ValueError) as exc:
                 raise StoreError(f"corrupt artifact {path}: {exc}") from exc
-            if path.suffix == ".gz":
-                try:
-                    raw = gzip.decompress(raw)
-                except (OSError, EOFError) as exc:
-                    raise StoreError(f"corrupt artifact {path}: {exc}") from exc
-            return raw.decode("utf-8")
+            if not isinstance(envelope, dict):
+                raise StoreError(f"corrupt artifact {path}: not a JSON object")
+            if envelope.get("schema") != ARTIFACT_SCHEMA:
+                raise StoreError(
+                    f"artifact {key[:12]}… has schema {envelope.get('schema')!r}, "
+                    f"incompatible with {ARTIFACT_SCHEMA!r} (written by repro "
+                    f"version {envelope.get('version')!r}); evict it or migrate "
+                    "the store"
+                )
+            return envelope
         return None
+
+    def _stamp(self, key: str) -> None:
+        """Mark ``key`` as used now: its file mtime is the LRU stamp gc reads.
+
+        The stamp is the wall clock in nanoseconds rather than the kernel's
+        coarser file clock, so back-to-back uses stay ordered.  Failures are
+        ignored: a read-only store still serves, it only stops recording
+        recency.  Runs on every hot hit, so it joins plain strings: ``key``
+        was validated when it entered the hot tier or was read from disk.
+        """
+        now = time.time_ns()
+        base = os.path.join(self.root, "artifacts", key[:2], key)
+        for suffix in (".json.gz", ".json"):
+            try:
+                os.utime(base + suffix, ns=(now, now))
+                return
+            except OSError:
+                continue
 
     # -- hot tier ----------------------------------------------------------------
 
@@ -205,7 +239,6 @@ class ResultStore:
             envelope = self._hot.get(key)
             if envelope is not None:
                 self._hot.move_to_end(key)
-                self._recent_access[key] = time.time()
             return envelope
 
     def _hot_put_locked(self, key: str, envelope: dict) -> None:
@@ -221,58 +254,6 @@ class ResultStore:
         if not safe or any(c not in "0123456789abcdef-" for c in safe):
             raise StoreError(f"malformed campaign id {campaign_id!r}")
         return self.root / "campaigns" / f"{safe}.json"
-
-    # -- index -------------------------------------------------------------------
-
-    def _load_index(self) -> dict:
-        try:
-            raw = json.loads(self._index_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return {"schema": INDEX_SCHEMA, "artifacts": {}}
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"corrupt store index {self._index_path}: {exc}") from exc
-        if raw.get("schema") != INDEX_SCHEMA:
-            raise StoreError(
-                f"store index schema {raw.get('schema')!r} is incompatible with "
-                f"{INDEX_SCHEMA!r} (written by version {raw.get('version')!r})"
-            )
-        return raw
-
-    def _merge_access_locked(self, index: dict) -> None:
-        """Fold read-side LRU stamps into the index (caller holds the lock)."""
-        artifacts = index["artifacts"]
-        for key, stamp in self._recent_access.items():
-            entry = artifacts.get(key)
-            if entry is not None:
-                entry["access"] = max(float(entry.get("access", 0.0)), stamp)
-        self._recent_access.clear()
-
-    def _reconcile_locked(self, index: dict) -> None:
-        """Register artifact files a lost index update dropped (self-heal)."""
-        artifacts = index["artifacts"]
-        artifacts_dir = self.root / "artifacts"
-        if not artifacts_dir.is_dir():
-            return
-        for pattern in ("*/*.json", "*/*.json.gz"):
-            for path in artifacts_dir.glob(pattern):
-                key = self._key_of_path(path)
-                if key not in artifacts:
-                    stat = path.stat()
-                    artifacts[key] = {
-                        "kind": None,
-                        "label": None,
-                        "engine": None,
-                        "size": stat.st_size,
-                        "created": stat.st_mtime,
-                        "access": stat.st_mtime,
-                    }
-
-    def _write_index(self, index: dict) -> None:
-        from repro import __version__
-
-        index["schema"] = INDEX_SCHEMA
-        index["version"] = __version__
-        _atomic_write(self._index_path, json.dumps(index, indent=2, sort_keys=True))
 
     # -- artifact API ------------------------------------------------------------
 
@@ -308,67 +289,37 @@ class ResultStore:
             "witness": dict(witness) if witness is not None else None,
             "payload": payload,
         }
-        data = json.dumps(envelope, indent=2).encode("utf-8")
-        if self.compress:
-            # mtime=0 keeps the compressed bytes a pure function of content.
-            data = gzip.compress(data, mtime=0)
+        # mtime=0 keeps the gzip bytes a pure function of content.
+        data = gzip.compress(json.dumps(envelope, indent=2).encode("utf-8"), mtime=0)
+        path, legacy = self._artifact_candidates(key)
+        _atomic_write_bytes(path, data)
+        self._stamp(key)
+        # Drop a legacy plain .json copy so reads (which prefer .json.gz) and
+        # size accounting never see two.
+        legacy.unlink(missing_ok=True)
         with self._lock:
-            path = self._artifact_path(key)
-            _atomic_write_bytes(path, data)
-            # Drop a stale artifact under the other extension so reads (which
-            # prefer .json.gz) and size accounting never see two copies.
-            for candidate in self._artifact_candidates(key):
-                if candidate != path and candidate.exists():
-                    candidate.unlink()
             self._hot_put_locked(key, envelope)
-            index = self._load_index()
-            self._merge_access_locked(index)
-            now = time.time()
-            index["artifacts"][key] = {
-                "kind": kind,
-                "label": envelope["label"],
-                "engine": envelope["engine"],
-                "size": len(data),
-                "created": now,
-                "access": now,
-            }
-            self._write_index(index)
-            if self.max_artifacts is not None or self.max_bytes is not None:
-                self._gc_locked(index, self.max_artifacts, self.max_bytes)
         return envelope
 
     def get_envelope(self, key: str) -> "dict | None":
         """The artifact envelope for ``key``, or ``None`` on a miss.
 
         The hot tier answers first (no disk, no JSON parse); cold reads try
-        the compressed file, then the legacy uncompressed one, validate the
-        envelope schema (rejecting artifacts written by an incompatible
-        library with a :class:`StoreError` naming the writing version), and
-        promote the envelope into the hot tier.  The index is not touched on
-        this path — concurrent readers only contend on the in-memory LRU
-        stamp (folded into ``index.json`` by the next :meth:`put` /
-        :meth:`gc`).  Returned envelopes must be treated as read-only.
+        the ``.json.gz`` file, then the legacy plain ``.json`` one, validate the
+        envelope (rejecting artifacts written by an incompatible library
+        with a :class:`StoreError` naming the writing version), and promote
+        it into the hot tier.  Every hit stamps the artifact file's mtime,
+        which is what :meth:`gc` orders by in any process.  Returned
+        envelopes must be treated as read-only.
         """
-        hot = self._hot_get(key)
-        if hot is not None:
-            return hot
-        text = self._read_artifact_text(key)
-        if text is None:
-            return None
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt artifact {key[:12]}…: {exc}") from exc
-        if envelope.get("schema") != ARTIFACT_SCHEMA:
-            raise StoreError(
-                f"artifact {key[:12]}… has schema {envelope.get('schema')!r}, "
-                f"incompatible with {ARTIFACT_SCHEMA!r} (written by repro "
-                f"version {envelope.get('version')!r}); evict it or migrate "
-                "the store"
-            )
-        with self._lock:
-            self._recent_access[key] = time.time()
-            self._hot_put_locked(key, envelope)
+        envelope = self._hot_get(key)
+        if envelope is None:
+            envelope = self._read_envelope(key)
+            if envelope is None:
+                return None
+            with self._lock:
+                self._hot_put_locked(key, envelope)
+        self._stamp(key)
         return envelope
 
     def get(self, key: str) -> Any:
@@ -408,15 +359,7 @@ class ResultStore:
 
     def keys(self) -> list[str]:
         """All stored artifact keys (sorted)."""
-        with self._lock:
-            index = self._load_index()
-            known = set(index["artifacts"])
-        artifacts_dir = self.root / "artifacts"
-        if artifacts_dir.is_dir():
-            for pattern in ("*/*.json", "*/*.json.gz"):
-                for path in artifacts_dir.glob(pattern):
-                    known.add(self._key_of_path(path))
-        return sorted(known)
+        return sorted({key for key, _ in self._artifact_files()})
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -425,28 +368,16 @@ class ResultStore:
         return iter(self.keys())
 
     def evict(self, key: str) -> bool:
-        """Remove one artifact; returns whether anything was deleted.
-
-        "Anything" covers the artifact file *and* its index entry: an
-        artifact whose file was deleted externally still has index state to
-        clean up, and evicting it returns ``True`` (it did mutate the store).
-        The index is reconciled against the disk first so the decision is
-        made on consistent state.
-        """
+        """Remove one artifact; returns whether a file was deleted."""
+        removed = False
         with self._lock:
-            removed = False
-            for path in self._artifact_candidates(key):
-                if path.exists():
-                    path.unlink()
-                    removed = True
             self._hot.pop(key, None)
-            self._recent_access.pop(key, None)
-            index = self._load_index()
-            self._reconcile_locked(index)
-            if key in index["artifacts"]:
-                del index["artifacts"][key]
+            for path in self._artifact_candidates(key):
+                try:
+                    path.unlink()
+                except FileNotFoundError:
+                    continue
                 removed = True
-                self._write_index(index)
         return removed
 
     def gc(
@@ -456,55 +387,37 @@ class ResultStore:
     ) -> list[str]:
         """Evict least-recently-used artifacts down to the given limits.
 
-        Limits default to the store's standing ``max_artifacts``/``max_bytes``;
-        with neither set anywhere, nothing is evicted.  Returns the evicted
-        keys, oldest first.
+        Recency is the artifact file's mtime, stamped by every put and hit
+        in any process; ties break by key.  With no limit given nothing is
+        evicted.  Several processes may gc one directory at once: an
+        artifact another process removed first is skipped.  Returns the keys
+        this call evicted, oldest first.
         """
-        with self._lock:
-            index = self._load_index()
-            return self._gc_locked(
-                index,
-                self.max_artifacts if max_artifacts is None else max_artifacts,
-                self.max_bytes if max_bytes is None else max_bytes,
-            )
-
-    def _gc_locked(
-        self, index: dict, max_artifacts: "int | None", max_bytes: "int | None"
-    ) -> list[str]:
-        self._reconcile_locked(index)
-        self._merge_access_locked(index)
-        artifacts = index["artifacts"]
-        ordered = sorted(artifacts, key=lambda k: artifacts[k].get("access", 0))
+        found = self._scan()
+        count = len(found)
+        total_bytes = sum(size for _, size in found.values())
         evicted: list[str] = []
-        total_bytes = sum(int(e.get("size", 0)) for e in artifacts.values())
-        while ordered and (
-            (max_artifacts is not None and len(ordered) > max_artifacts)
-            or (max_bytes is not None and total_bytes > max_bytes)
-        ):
-            key = ordered.pop(0)
-            total_bytes -= int(artifacts[key].get("size", 0))
-            del artifacts[key]
-            self._hot.pop(key, None)
-            for path in self._artifact_candidates(key):
-                if path.exists():
-                    path.unlink()
-            evicted.append(key)
-        if evicted:
-            self._write_index(index)
+        for key in sorted(found, key=lambda k: (found[k][0], k)):
+            if not (
+                (max_artifacts is not None and count > max_artifacts)
+                or (max_bytes is not None and total_bytes > max_bytes)
+            ):
+                break
+            count -= 1
+            total_bytes -= found[key][1]
+            if self.evict(key):
+                evicted.append(key)
         return evicted
 
     def stats(self) -> dict:
         """Aggregate store statistics (artifact count, bytes, campaigns)."""
-        with self._lock:
-            index = self._load_index()
-            self._reconcile_locked(index)
-            artifacts = index["artifacts"]
-            return {
-                "root": str(self.root),
-                "artifacts": len(artifacts),
-                "bytes": sum(int(e.get("size", 0)) for e in artifacts.values()),
-                "campaigns": len(self.campaign_ids()),
-            }
+        found = self._scan()
+        return {
+            "root": str(self.root),
+            "artifacts": len(found),
+            "bytes": sum(size for _, size in found.values()),
+            "campaigns": len(self.campaign_ids()),
+        }
 
     # -- campaign manifests ------------------------------------------------------
 

@@ -309,13 +309,20 @@ class TestStoreTiering:
         assert path.read_bytes() == first  # gzip mtime=0: content-addressed bytes
 
     def test_legacy_uncompressed_artifacts_stay_readable(self, tmp_path):
-        legacy = ResultStore(tmp_path / "store", compress=False)
-        key = self._seed_artifact(legacy)
-        assert legacy._artifact_path(key).suffix == ".json"
-        modern = ResultStore(tmp_path / "store")
-        assert modern.get_envelope(key) is not None
-        assert key in modern.keys()
-        assert modern.has(key)
+        writer = ResultStore(tmp_path / "store")
+        key = self._seed_artifact(writer)
+        compressed = writer._artifact_path(key)
+        # Rewrite the artifact the way pre-compression stores left it: a
+        # plain <key>.json envelope and no .json.gz beside it.
+        compressed.with_name(f"{key}.json").write_bytes(
+            gzip.decompress(compressed.read_bytes())
+        )
+        compressed.unlink()
+        legacy = ResultStore(tmp_path / "store")
+        assert legacy.get_envelope(key)["key"] == key
+        assert legacy.keys() == [key]
+        assert legacy.has(key)
+        assert legacy.stats()["artifacts"] == 1
 
     def test_hot_tier_serves_repeat_reads(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -368,22 +375,21 @@ class TestStoreTiering:
 
 
 # ---------------------------------------------------------------------------
-# evict() regression: stale index entries
+# evict() reports exactly what it removed from the artifact tree
 # ---------------------------------------------------------------------------
 
 
 class TestEvictReconciliation:
-    def test_evict_true_for_stale_index_entry(self, tmp_path):
+    def test_evict_false_after_external_delete(self, tmp_path):
         store = ResultStore(tmp_path / "store", hot_capacity=0)
         experiment = Experiment.from_zoo("toggle-switch")
         experiment.simulate(trials=10, engine="direct", seed=3, store=store)
         [key] = store.keys()
-        # The artifact file vanishes externally; only the index entry remains.
+        # The artifact file vanishes externally: the tree is the only state,
+        # so the store forgets the key at once and evict has nothing to do.
         store._artifact_path(key).unlink()
-        assert key in json.loads(store._index_path.read_text())["artifacts"]
-        assert store.evict(key) is True  # it removed the index entry
-        assert key not in json.loads(store._index_path.read_text())["artifacts"]
-        assert store.evict(key) is False  # nothing left to remove
+        assert len(store) == 0
+        assert store.evict(key) is False
 
     def test_evict_false_for_unknown_key(self, tmp_path):
         store = ResultStore(tmp_path / "store")

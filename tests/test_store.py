@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -16,7 +19,7 @@ from repro.errors import (
     StoreError,
     StoppingConditionError,
 )
-from repro.sim import SimulationOptions
+from repro.sim import SimulationOptions, numba_available
 from repro.sim.ensemble import EnsembleRunner
 from repro.sim.events import (
     AllCondition,
@@ -184,7 +187,12 @@ def engine_backend_matrix():
         for backend in backends:
             if info.computes_distribution and backend != "auto":
                 continue
-            combos.append((name, backend))
+            marks = ()
+            if backend == "numba":
+                marks = pytest.mark.skipif(
+                    not numba_available(), reason="numba not installed"
+                )
+            combos.append(pytest.param(name, backend, marks=marks))
     return combos
 
 
@@ -377,17 +385,25 @@ class TestStoreMechanics:
         with pytest.raises(StoreError, match="run-result"):
             store.load_run("aa" * 32)
 
-    def test_index_self_heals_from_artifact_files(self, store, experiment):
-        key = self._put_run(store, experiment, seed=1)
-        store._index_path.unlink()
-        assert store.load_run(key) is not None
-        assert key in store.keys()
+    def test_len_follows_external_delete(self, store, experiment):
+        keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2)]
+        store._artifact_path(keys[0]).unlink()
+        assert len(store) == 1
+        assert store.keys() == [keys[1]]
+        assert store.stats()["artifacts"] == 1
 
     def test_evict(self, store, experiment):
         key = self._put_run(store, experiment, seed=1)
         assert store.evict(key)
         assert not store.has(key)
         assert not store.evict(key)
+
+    def test_evict_true_exactly_when_a_file_is_removed(self, store, experiment):
+        key = self._put_run(store, experiment, seed=1)
+        store.get(key)  # warm the hot tier: a hot entry alone is not a file
+        store._artifact_path(key).unlink()
+        assert store.evict(key) is False
+        assert not store.has(key)
 
     def test_gc_by_count_evicts_lru(self, store, experiment):
         keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2, 3)]
@@ -403,17 +419,30 @@ class TestStoreMechanics:
         assert len(evicted) == 3
         assert store.keys() == []
 
-    def test_standing_limit_applies_on_put(self, tmp_path, experiment):
-        store = ResultStore(tmp_path / "bounded", max_artifacts=2)
-        for seed in (1, 2, 3, 4):
-            self._put_run(store, experiment, seed=seed)
-        assert len(store.keys()) == 2
+    def test_gc_keeps_the_most_recent_puts(self, store, experiment):
+        keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2, 3, 4)]
+        assert store.gc(max_artifacts=2) == keys[:2]
+        assert store.keys() == sorted(keys[2:])
+
+    def test_gc_without_limits_evicts_nothing(self, store, experiment):
+        self._put_run(store, experiment, seed=1)
+        assert store.gc() == []
+        assert len(store) == 1
+
+    def test_hit_in_one_instance_protects_key_from_gc_in_another(
+        self, store, experiment
+    ):
+        keys = [self._put_run(store, experiment, seed=seed) for seed in (1, 2, 3)]
+        reader = ResultStore(store.root)
+        assert reader.get(keys[0]) is not None  # cold hit in the reader only
+        assert store.gc(max_artifacts=2) == [keys[1]]
+        assert store.has(keys[0]) and store.has(keys[2])
 
     def test_stats(self, store, experiment):
-        self._put_run(store, experiment, seed=1)
+        key = self._put_run(store, experiment, seed=1)
         stats = store.stats()
         assert stats["artifacts"] == 1
-        assert stats["bytes"] > 0
+        assert stats["bytes"] == store._artifact_path(key).stat().st_size
         assert stats["campaigns"] == 0
 
     def test_store_is_picklable(self, store):
@@ -439,3 +468,117 @@ class TestSweepIntegration:
         second = sweep.run()  # all points served from cache
         assert len(store.keys()) == 2
         assert first.rows == second.rows
+
+
+# ---------------------------------------------------------------------------
+# fault injection: corrupt files, killed writers, concurrent processes
+# ---------------------------------------------------------------------------
+
+
+def _tiny_ensemble():
+    network = parse_network("init: a = 1\na ->{1} 0", name="decay")
+    runner = EnsembleRunner(network, stopping=SpeciesThreshold("a", 0))
+    return runner.run(1, seed=1)
+
+
+def _put_many(root: str, writer: int, count: int) -> None:
+    store = ResultStore(root)
+    result = _tiny_ensemble()
+    for index in range(count):
+        store.put(hashlib.sha256(f"{writer}:{index}".encode()).hexdigest(), result)
+
+
+def _gc_together(root: str, barrier, max_artifacts: int) -> None:
+    barrier.wait(timeout=60)
+    ResultStore(root).gc(max_artifacts=max_artifacts)
+
+
+def _run_spawned(target, arg_lists) -> None:
+    """Run ``target(*args)`` in one spawned process per entry; all must exit 0."""
+    context = multiprocessing.get_context("spawn")
+    processes = [context.Process(target=target, args=args) for args in arg_lists]
+    try:
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+        assert [process.exitcode for process in processes] == [0] * len(processes)
+    finally:
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+                process.join()
+
+
+class TestFaultInjection:
+    KEY = "ab" * 32
+
+    def _seed(self, store) -> str:
+        store.put(self.KEY, _tiny_ensemble())
+        return self.KEY
+
+    def test_truncated_gzip_raises_store_error_naming_the_artifact(self, store):
+        key = self._seed(store)
+        path = store._artifact_path(key)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(StoreError, match=f"corrupt artifact .*{key}"):
+            ResultStore(store.root).get_envelope(key)
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe\x00\x81", b"[1, 2]"])
+    def test_non_json_envelope_raises_store_error_naming_the_artifact(
+        self, store, raw
+    ):
+        key = self._seed(store)
+        store._artifact_path(key).write_bytes(gzip.compress(raw))
+        with pytest.raises(StoreError, match=f"corrupt artifact .*{key}"):
+            ResultStore(store.root).get_envelope(key)
+
+    def test_stale_tmp_from_a_killed_put_is_ignored(self, store):
+        key = self._seed(store)
+        path = store._artifact_path(key)
+        # What a put killed between mkstemp and os.replace leaves behind: a
+        # temp file beside the artifacts, and one in a shard of its own.
+        (path.parent / "tmpk1lled.tmp").write_bytes(b"\x1f\x8b partial")
+        lone_shard = store.root / "artifacts" / "cd"
+        lone_shard.mkdir()
+        (lone_shard / f"{'cd' * 32}.json.gz.tmp").write_bytes(b"\x1f\x8b")
+        assert store.keys() == [key]
+        assert len(store) == 1
+        stats = store.stats()
+        assert stats["artifacts"] == 1
+        assert stats["bytes"] == path.stat().st_size
+        assert store.gc(max_artifacts=0) == [key]
+        assert len(store) == 0
+
+    def test_corrupt_leftover_index_json_is_ignored(self, store):
+        (store.root / "index.json").write_text("{corrupt", encoding="utf-8")
+        key = self._seed(store)
+        assert ResultStore(store.root).get(key) is not None
+        assert store.stats()["artifacts"] == 1
+        assert store.keys() == [key]
+
+    def test_unwritable_stamp_still_serves(self, store, monkeypatch):
+        key = self._seed(store)
+
+        def read_only(*args, **kwargs):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr(os, "utime", read_only)
+        assert ResultStore(store.root).get(key) is not None
+        assert store.get(key) is not None
+
+
+class TestCrossProcess:
+    def test_concurrent_puts_then_concurrent_gcs(self, tmp_path):
+        root = str(tmp_path / "store")
+        _run_spawned(_put_many, [(root, writer, 25) for writer in range(4)])
+        store = ResultStore(root)
+        assert len(store) == 100
+        files = store.root.rglob("*.json.gz")
+        assert store.stats()["bytes"] == sum(path.stat().st_size for path in files)
+
+        stamps = store._scan()
+        newest = sorted(stamps, key=lambda k: (stamps[k][0], k))[50:]
+        barrier = multiprocessing.get_context("spawn").Barrier(2)
+        _run_spawned(_gc_together, [(root, barrier, 50)] * 2)
+        assert store.keys() == sorted(newest)
